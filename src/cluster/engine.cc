@@ -9,98 +9,104 @@ namespace cmpqos
 {
 
 ClusterEngine::ClusterEngine(const ClusterConfig &config)
-    : config_(config),
-      pool_(config.threads == 0 ? ThreadPool::hardwareConcurrency()
-                                : config.threads)
+    : ClusterEngine(config,
+                    std::make_unique<LocalBackend>(
+                        0, nodeSeeds(config.seed, config.nodes),
+                        config.node,
+                        config.threads == 0
+                            ? ThreadPool::hardwareConcurrency()
+                            : config.threads,
+                        config.telemetry, config.checkInvariants,
+                        config.control),
+                    0)
 {
-    cmpqos_assert(config_.nodes > 0, "cluster needs at least one node");
-    cmpqos_assert(config_.quantum > 0, "placement quantum must be > 0");
-    // Independent, reproducible per-node RNG streams: one SplitMix
-    // expansion of the cluster seed per node (Rng seeds via
-    // SplitMix64), so results do not depend on the thread count.
-    Rng seeder(config_.seed);
-    nodes_.reserve(static_cast<std::size_t>(config_.nodes));
-    for (int n = 0; n < config_.nodes; ++n)
-        nodes_.push_back(std::make_unique<NodeWorker>(
-            n, config_.node, seeder.next()));
+    local_ = static_cast<LocalBackend *>(backend_.get());
+}
 
+ClusterEngine::ClusterEngine(const ClusterConfig &config,
+                             std::unique_ptr<NodeBackend> backend,
+                             int shard_links)
+    : config_(config), backend_(std::move(backend))
+{
+    cmpqos_assert(config_.quantum > 0, "placement quantum must be > 0");
     if (config_.telemetry != nullptr) {
         cmpqos_assert(config_.telemetry->producers() >= config_.nodes + 1,
                       "telemetry collector has %d producers, cluster "
                       "needs %d (nodes + driver)",
                       config_.telemetry->producers(), config_.nodes + 1);
         driverTrace_ = config_.telemetry->driverRecorder();
-        for (int n = 0; n < config_.nodes; ++n)
-            nodes_[static_cast<std::size_t>(n)]->setTrace(
-                config_.telemetry->nodeRecorder(n));
     }
 
-    if (config_.control.enabled)
-        for (auto &node : nodes_)
-            node->enableController(config_.control);
-
+    alive_.assign(static_cast<std::size_t>(config_.nodes), 1);
     probeSkip_.assign(static_cast<std::size_t>(config_.nodes), 0);
     if (config_.faultPlan != nullptr && !config_.faultPlan->empty()) {
-        config_.faultPlan->validate(config_.nodes);
+        config_.faultPlan->validate(config_.nodes, shard_links);
         injector_ = std::make_unique<FaultInjector>(*config_.faultPlan,
                                                     config_.quantum);
     }
-    if (config_.checkInvariants)
-        checker_ = std::make_unique<InvariantChecker>();
 }
 
 NodeWorker &
 ClusterEngine::node(NodeId n)
 {
-    cmpqos_assert(n >= 0 && n < numNodes(), "node %d out of range", n);
-    return *nodes_[static_cast<std::size_t>(n)];
+    cmpqos_assert(local_ != nullptr, "node %d is not in this process", n);
+    return local_->node(n);
 }
 
 NodeId
 ClusterEngine::choose(const JobRequest &request, InstCount instructions,
-                      bool probe_faults)
+                      Cycle t, bool probe_faults)
 {
+    probes_ = backend_->probe(request, instructions, t);
     NodeId best = -1;
     Cycle best_slot = maxCycle;
-    std::size_t best_load = 0;
+    std::uint64_t best_load = 0;
     unsigned best_ways = 0;
-    for (auto &node : nodes_) {
-        if (!node->alive())
+    for (const NodeProbe &p : probes_) {
+        if (!p.alive || !p.accepted)
             continue;
         if (probe_faults &&
-            probeSkip_[static_cast<std::size_t>(node->id())])
-            continue;
-        const AdmissionDecision d = node->probe(request, instructions);
-        if (!d.accepted)
+            probeSkip_[static_cast<std::size_t>(p.node)])
             continue;
         switch (config_.policy) {
           case GacPolicy::FirstFit:
-            return node->id();
+            return p.node;
           case GacPolicy::EarliestSlot:
-            if (best < 0 || d.slotStart < best_slot) {
-                best = node->id();
-                best_slot = d.slotStart;
+            if (best < 0 || p.slotStart < best_slot) {
+                best = p.node;
+                best_slot = p.slotStart;
             }
             break;
-          case GacPolicy::LeastLoaded: {
-            const std::size_t load = node->inFlight();
-            const unsigned ways =
-                node->framework()
-                    .lac()
-                    .timeline()
-                    .reservedAt(node->virtualNow())
-                    .ways;
-            if (best < 0 || load < best_load ||
-                (load == best_load && ways < best_ways)) {
-                best = node->id();
-                best_load = load;
-                best_ways = ways;
+          case GacPolicy::LeastLoaded:
+            if (best < 0 || p.load < best_load ||
+                (p.load == best_load && p.ways < best_ways)) {
+                best = p.node;
+                best_load = p.load;
+                best_ways = p.ways;
             }
             break;
-          }
         }
     }
     return best;
+}
+
+NodeId
+ClusterEngine::negotiate(JobRequest &request, InstCount instructions,
+                         Cycle t, bool probe_faults)
+{
+    // Global negotiation (Section 3.1): offer the smallest relaxed
+    // deadline some node would accept.
+    const double base = request.deadlineFactor;
+    for (double f = 1.0 + config_.negotiateStep;
+         f <= config_.negotiateMaxFactor + 1e-9;
+         f += config_.negotiateStep) {
+        request.deadlineFactor = base * f;
+        const NodeId target =
+            choose(request, instructions, t, probe_faults);
+        if (target >= 0)
+            return target;
+    }
+    return -1;
 }
 
 void
@@ -110,24 +116,23 @@ ClusterEngine::refreshProbeFaults(Cycle t)
         return;
     const bool tracing =
         driverTrace_ != nullptr && driverTrace_->active();
-    for (const auto &node : nodes_) {
-        const auto i = static_cast<std::size_t>(node->id());
+    for (NodeId n = 0; n < config_.nodes; ++n) {
+        const auto i = static_cast<std::size_t>(n);
         probeSkip_[i] = 0;
-        if (!node->alive())
+        if (!alive_[i])
             continue;
-        if (injector_->probeDropped(node->id(), t)) {
+        if (injector_->probeDropped(n, t)) {
             probeSkip_[i] = 1;
             ++faults_.probesDropped;
             if (tracing) {
                 TraceEvent e =
                     traceEvent(TraceEventType::ProbeDropped, t);
-                e.a = static_cast<std::uint64_t>(node->id());
+                e.a = static_cast<std::uint64_t>(n);
                 driverTrace_->emit(e);
             }
             continue;
         }
-        const unsigned failures =
-            injector_->probeTimeoutFailures(node->id(), t);
+        const unsigned failures = injector_->probeTimeoutFailures(n, t);
         if (failures == 0)
             continue;
         const bool abandoned = failures > config_.probeRetry.maxRetries;
@@ -143,7 +148,7 @@ ClusterEngine::refreshProbeFaults(Cycle t)
         }
         if (tracing) {
             TraceEvent e = traceEvent(TraceEventType::ProbeTimeout, t);
-            e.a = static_cast<std::uint64_t>(node->id());
+            e.a = static_cast<std::uint64_t>(n);
             e.b = failures;
             e.setName(abandoned ? "abandoned" : "recovered");
             driverTrace_->emit(e);
@@ -151,7 +156,7 @@ ClusterEngine::refreshProbeFaults(Cycle t)
     }
 }
 
-ClusterEngine::Placement
+void
 ClusterEngine::place(const ClusterArrival &arrival)
 {
     // Driver-side events carry the global arrival sequence number as
@@ -170,24 +175,12 @@ ClusterEngine::place(const ClusterArrival &arrival)
         driverTrace_->emit(e);
     }
     refreshProbeFaults(arrival.time);
-    Placement p;
     JobRequest request = arrival.request;
-    NodeId target = choose(request, arrival.instructions);
-
+    NodeId target = choose(request, arrival.instructions, arrival.time);
+    bool negotiated = false;
     if (target < 0 && config_.negotiate) {
-        // Global negotiation (Section 3.1): offer the smallest
-        // relaxed deadline some node would accept.
-        const double base = request.deadlineFactor;
-        for (double f = 1.0 + config_.negotiateStep;
-             f <= config_.negotiateMaxFactor + 1e-9;
-             f += config_.negotiateStep) {
-            request.deadlineFactor = base * f;
-            target = choose(request, arrival.instructions);
-            if (target >= 0) {
-                p.negotiated = true;
-                break;
-            }
-        }
+        target = negotiate(request, arrival.instructions, arrival.time);
+        negotiated = target >= 0;
     }
 
     if (target < 0) {
@@ -204,32 +197,20 @@ ClusterEngine::place(const ClusterArrival &arrival)
             o.deadlineFactor = arrival.request.deadlineFactor;
             config_.observer->onPlacement(arrival, o);
         }
-        return p;
+        return;
     }
 
-    Cycle observed_slot = 0;
-    if (config_.observer != nullptr) {
-        // Probe the chosen node once more for the reserved slot the
-        // reply will advertise. probe() is side-effect-free, so runs
-        // with and without an observer stay bit-identical.
-        const AdmissionDecision d =
-            nodes_[static_cast<std::size_t>(target)]->probe(
-                request, arrival.instructions);
-        observed_slot = d.slotStart;
-    }
-    Job *job = nodes_[static_cast<std::size_t>(target)]->submit(
-        request, arrival.instructions);
-    if (job == nullptr) {
+    const JobId job = backend_->submit(target, request,
+                                       arrival.instructions, arrival.time);
+    if (job == invalidJob) {
         // Probe and submit run back-to-back at the same node time, so
         // they must agree.
         cmpqos_panic("probe/submit disagreement on node %d", target);
     }
     ++accepted_;
-    if (p.negotiated)
+    if (negotiated)
         ++negotiated_;
     ++acceptedByTier_[static_cast<std::size_t>(arrival.tier)];
-    p.accepted = true;
-    p.node = target;
     if (injector_ != nullptr) {
         // Idempotent commit: acceptance replies are keyed by arrival
         // sequence, so a duplicated reply from the node is detected
@@ -255,7 +236,7 @@ ClusterEngine::place(const ClusterArrival &arrival)
         }
     }
     if (tracing) {
-        if (p.negotiated) {
+        if (negotiated) {
             TraceEvent n = traceEvent(TraceEventType::JobNegotiated,
                                       arrival.time, seq);
             n.a = static_cast<std::uint64_t>(target);
@@ -267,20 +248,21 @@ ClusterEngine::place(const ClusterArrival &arrival)
         TraceEvent e = traceEvent(TraceEventType::ArrivalPlaced,
                                   arrival.time, seq);
         e.a = static_cast<std::uint64_t>(target);
-        e.b = static_cast<std::uint64_t>(job->id());
+        e.b = static_cast<std::uint64_t>(job);
         driverTrace_->emit(e);
     }
     if (config_.observer != nullptr) {
         PlacementOutcome o;
         o.seq = static_cast<std::uint64_t>(seq);
         o.accepted = true;
-        o.negotiated = p.negotiated;
+        o.negotiated = negotiated;
         o.node = target;
-        o.slotStart = observed_slot;
+        for (const NodeProbe &probe : probes_)
+            if (probe.node == target)
+                o.slotStart = probe.slotStart;
         o.deadlineFactor = request.deadlineFactor;
         config_.observer->onPlacement(arrival, o);
     }
-    return p;
 }
 
 void
@@ -292,29 +274,20 @@ ClusterEngine::relocate(NodeId origin, const NodeWorker::LostJob &lost,
     // Relocation probes bypass probe-fault windows: the GAC is
     // re-placing from its own records, not racing a lossy probe.
     JobRequest request = lost.request;
-    NodeId target = choose(request, lost.instructions, false);
+    NodeId target = choose(request, lost.instructions, t, false);
     bool negotiated = false;
     bool downgraded = false;
     if (target < 0 && config_.negotiate &&
         lost.mode != ExecutionMode::Opportunistic) {
-        const double base = request.deadlineFactor;
-        for (double f = 1.0 + config_.negotiateStep;
-             f <= config_.negotiateMaxFactor + 1e-9;
-             f += config_.negotiateStep) {
-            request.deadlineFactor = base * f;
-            target = choose(request, lost.instructions, false);
-            if (target >= 0) {
-                negotiated = true;
-                break;
-            }
-        }
+        target = negotiate(request, lost.instructions, t, false);
+        negotiated = target >= 0;
     }
     if (target < 0 && lost.mode == ExecutionMode::Elastic) {
         // Elastic fallback: rather than lose the job, re-admit it
         // best-effort (a QoS downgrade the tallies make visible).
         JobRequest fallback = lost.request;
         fallback.mode = ModeSpec::opportunistic();
-        target = choose(fallback, lost.instructions, false);
+        target = choose(fallback, lost.instructions, t, false);
         if (target >= 0) {
             request = fallback;
             downgraded = true;
@@ -324,8 +297,7 @@ ClusterEngine::relocate(NodeId origin, const NodeWorker::LostJob &lost,
         // No alive node can take the job: a distinct failure outcome,
         // never a silent drop.
         ++faults_.relocationRejected;
-        nodes_[static_cast<std::size_t>(origin)]
-            ->recordRelocationFailure();
+        backend_->recordRelocationFailure(origin, t);
         if (tracing) {
             TraceEvent e = traceEvent(TraceEventType::JobFailed, t,
                                       lost.localJob);
@@ -336,9 +308,8 @@ ClusterEngine::relocate(NodeId origin, const NodeWorker::LostJob &lost,
         }
         return;
     }
-    Job *job = nodes_[static_cast<std::size_t>(target)]->submit(
-        request, lost.instructions);
-    if (job == nullptr)
+    if (backend_->submit(target, request, lost.instructions, t) ==
+        invalidJob)
         cmpqos_panic("relocation probe/submit disagreement on node %d",
                      target);
     if (downgraded)
@@ -365,12 +336,14 @@ ClusterEngine::applyFaultActions(Cycle t)
     const bool tracing =
         driverTrace_ != nullptr && driverTrace_->active();
     for (const FaultAction &action : injector_->actionsDue(t)) {
-        NodeWorker &w = *nodes_[static_cast<std::size_t>(action.node)];
+        const auto i = static_cast<std::size_t>(action.node);
         if (action.type == FaultType::NodeCrash) {
-            if (!w.alive())
+            if (!alive_[i])
                 continue; // already down: tolerated plan sloppiness
             ++faults_.crashes;
-            NodeWorker::CrashReport report = w.crash();
+            alive_[i] = 0;
+            const NodeWorker::CrashReport report =
+                backend_->crash(action.node, t);
             if (tracing) {
                 TraceEvent e =
                     traceEvent(TraceEventType::NodeCrashed, t);
@@ -389,10 +362,11 @@ ClusterEngine::applyFaultActions(Cycle t)
             for (const NodeWorker::LostJob &lost : report.waiting)
                 relocate(action.node, lost, t);
         } else {
-            if (w.alive())
+            if (alive_[i])
                 continue; // restart without a crash: no-op
             ++faults_.restarts;
-            w.restart(t);
+            alive_[i] = 1;
+            backend_->restart(action.node, t);
             if (tracing) {
                 TraceEvent e =
                     traceEvent(TraceEventType::NodeRestarted, t);
@@ -405,38 +379,32 @@ ClusterEngine::applyFaultActions(Cycle t)
 }
 
 void
-ClusterEngine::checkAll()
+ClusterEngine::advance(Cycle from, Cycle to)
 {
-    for (const auto &node : nodes_)
-        if (node->alive())
-            checker_->checkNode(node->id(), node->framework(),
-                                node->virtualNow());
-}
-
-void
-ClusterEngine::advanceAll(Cycle from, Cycle to)
-{
-    const bool stalls_possible =
-        injector_ != nullptr && injector_->anyWindows();
+    // The controller-step rule lives here and only here: every node's
+    // controller steps once at the start of every advance the driver
+    // issues — after that barrier's placements, before the nodes move
+    // — and the driver never issues an empty advance. Both backends
+    // step inside advance() and nowhere else, so a run steps the same
+    // controllers the same number of times on either backend.
+    cmpqos_assert(to > from, "empty advance %llu -> %llu",
+                  static_cast<unsigned long long>(from),
+                  static_cast<unsigned long long>(to));
     std::vector<Cycle> stalls;
-    if (stalls_possible) {
+    if (injector_ != nullptr && injector_->anyWindows()) {
         // Slow-quantum stalls are computed on the driver thread so
         // the parallel advance stays deterministic.
-        stalls.assign(nodes_.size(), 0);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (!nodes_[i]->alive())
+        stalls.assign(static_cast<std::size_t>(config_.nodes), 0);
+        for (NodeId n = 0; n < config_.nodes; ++n) {
+            const auto i = static_cast<std::size_t>(n);
+            if (!alive_[i])
                 continue;
-            stalls[i] =
-                injector_->stallCycles(nodes_[i]->id(), from);
+            stalls[i] = injector_->stallCycles(n, from);
             if (stalls[i] > 0)
                 ++faults_.stalledQuanta;
         }
     }
-    pool_.parallelFor(nodes_.size(),
-                      [this, to, &stalls](std::size_t i) {
-                          nodes_[i]->advanceTo(
-                              to, stalls.empty() ? 0 : stalls[i]);
-                      });
+    backend_->advance(from, to, stalls);
 }
 
 ClusterMetrics
@@ -492,43 +460,22 @@ ClusterEngine::run(ArrivalProcess &arrivals, Cycle horizon, bool drain)
             // the remaining work has no quantum constraint.
             break;
         }
-        // Controller step: after this barrier's placements committed,
-        // before the nodes advance — each controller sees the
-        // reservations just placed and can revert way grants ahead of
-        // any reserved-start headroom check inside the quantum. The
-        // federated shard steps at the same point (start of its
-        // FedAdvance), exactly once per advance, so controller-on
-        // runs stay identical across engines.
-        if (config_.control.enabled)
-            for (auto &node : nodes_)
-                node->controllerStep();
-        advanceAll(t, next_q);
-        // Quantum barrier: every node is quiescent, so the rings can
-        // be emptied into the sinks in producer order.
-        if (config_.telemetry != nullptr)
-            config_.telemetry->drain();
-        if (checker_ != nullptr)
-            checkAll();
+        advance(t, next_q);
         t = next_q;
         if (config_.observer != nullptr)
             config_.observer->onQuantum(t);
     }
 
     if (drain) {
-        pool_.parallelFor(nodes_.size(), [this](std::size_t i) {
-            nodes_[i]->drain();
-        });
+        backend_->drain();
     } else {
-        advanceAll(t, horizon);
+        if (t < horizon)
+            advance(t, horizon);
         // Open-loop truncation: the arrival already pulled past the
         // horizon was never offered for admission.
         if (pending)
             ++truncated_;
     }
-    if (config_.telemetry != nullptr)
-        config_.telemetry->drain();
-    if (checker_ != nullptr)
-        checkAll();
     if (config_.observer != nullptr)
         config_.observer->onQuantum(drain ? t : horizon);
 
@@ -558,11 +505,12 @@ ClusterEngine::runForDuration(ArrivalProcess &arrivals, Cycle duration)
 }
 
 ClusterMetrics
-ClusterEngine::snapshot() const
+ClusterEngine::snapshot()
 {
     ClusterMetrics m;
     m.seed = config_.seed;
-    m.threads = pool_.size();
+    m.threads = backend_->threads();
+    m.shards = backend_->shards();
     m.quantum = config_.quantum;
     m.submitted = submitted_;
     m.accepted = accepted_;
@@ -573,13 +521,8 @@ ClusterEngine::snapshot() const
     m.wallSeconds = wallSeconds_;
     m.faults = faults_;
     m.controllerOn = config_.control.enabled;
-    if (checker_ != nullptr)
-        m.invariantViolations = checker_->totalViolations();
-
-    std::vector<NodeMetrics> per_node;
-    per_node.reserve(nodes_.size());
-    for (const auto &node : nodes_)
-        per_node.push_back(MetricsExporter::collectNode(*node));
+    const std::vector<NodeMetrics> per_node = backend_->collect(m.faults);
+    m.invariantViolations = backend_->invariantViolations();
     MetricsExporter::aggregate(m, per_node);
     return m;
 }

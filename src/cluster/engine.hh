@@ -10,30 +10,29 @@
  * quanta of `quantum` cycles. At each boundary the driver thread
  * (alone) places every arrival falling inside the next quantum —
  * probing all nodes, choosing one per GacPolicy, negotiating relaxed
- * deadlines when every node rejects — then the pool advances all
- * nodes through the quantum in parallel. Admission decisions are
+ * deadlines when every node rejects — then the node backend advances
+ * all nodes through the quantum in parallel. Admission decisions are
  * therefore causally ordered with node virtual time to within one
  * quantum (plus the co-simulator's one-chunk skew), and, because
  * nodes share no state and per-node work is deterministic, the whole
- * run is bit-identical for a given seed at ANY worker thread count.
+ * run is bit-identical for a given seed at ANY worker thread count —
+ * and, through the shard backend (src/federation), at any shard count.
  */
 
 #ifndef CMPQOS_CLUSTER_ENGINE_HH
 #define CMPQOS_CLUSTER_ENGINE_HH
 
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "cluster/arrival.hh"
 #include "cluster/metrics.hh"
-#include "cluster/node_worker.hh"
+#include "cluster/node_backend.hh"
 #include "common/annotations.hh"
-#include "common/thread_pool.hh"
 #include "fault/injector.hh"
-#include "fault/invariants.hh"
 #include "qos/gac.hh"
-#include "telemetry/collector.hh"
 
 namespace cmpqos
 {
@@ -47,10 +46,8 @@ struct PlacementOutcome
     bool negotiated = false;
     /** Accepting node, -1 when rejected. */
     NodeId node = -1;
-    /** Reserved timeslot start from the accepting node's probe
-     *  (only populated when an observer is installed; the extra probe
-     *  is side-effect-free so observed and unobserved runs stay
-     *  bit-identical). */
+    /** Reserved timeslot start the accepting node offered in the
+     *  probe round that selected it (0 when rejected). */
     Cycle slotStart = 0;
     /** Deadline factor actually granted (== requested unless
      *  negotiation relaxed it). */
@@ -130,8 +127,8 @@ struct ClusterConfig
     EngineObserver *observer = nullptr;
     /**
      * Per-node feedback controller (src/control; disabled by
-     * default). Stepped on the driver thread at every quantum
-     * barrier — after placements, before the nodes advance — so
+     * default). Stepped once before every advance the driver issues —
+     * after that barrier's placements, before the nodes move — so
      * controller-on runs stay bit-identical at any thread or shard
      * count.
      */
@@ -139,15 +136,24 @@ struct ClusterConfig
 };
 
 /**
- * Parallel multi-node cluster simulation.
+ * The cluster driver: Section 3.1's GAC run loop over a node backend
+ * (node_backend.hh) — in-process nodes when built from a ClusterConfig
+ * alone, shard links when FederatedEngine builds it.
  */
 class ClusterEngine
 {
   public:
     explicit ClusterEngine(const ClusterConfig &config);
+    virtual ~ClusterEngine() = default;
+    ClusterEngine(const ClusterEngine &) = delete;
+    ClusterEngine &operator=(const ClusterEngine &) = delete;
 
-    int numNodes() const { return static_cast<int>(nodes_.size()); }
-    unsigned numThreads() const { return pool_.size(); }
+    int numNodes() const { return config_.nodes; }
+    /** Worker threads per node slice. */
+    unsigned numThreads() const { return backend_->threads(); }
+    /** Node slices (shards) the nodes are spread over. */
+    int numShards() const { return backend_->shards(); }
+    /** A node of an engine whose nodes are in this process. */
     NodeWorker &node(NodeId n);
 
     /**
@@ -165,52 +171,61 @@ class ClusterEngine
     ClusterMetrics runForDuration(ArrivalProcess &arrivals,
                                   Cycle duration);
 
-    /** The oracle, when checkInvariants was set (else nullptr). */
+    /** The oracle, when checkInvariants was set and the nodes are in
+     *  this process (else nullptr). */
     const InvariantChecker *invariantChecker() const
     {
-        return checker_.get();
+        return local_ != nullptr ? local_->checker() : nullptr;
     }
 
-    /** Driver-side fault tallies so far (failedJobs lives in the
-     *  per-node metrics; see snapshot()). */
-    const FaultTallies &
-    faultTallies() const
+    /** Oracle totals over every node slice (cumulative, as of the
+     *  last barrier). Zero when checkInvariants was off. */
+    std::uint64_t invariantChecksRun() const
     {
-        // Read between runs on the thread that drove them: the same
-        // barrier protocol that makes run() exclusive covers this.
-        driver_.grant();
-        return faults_;
+        return backend_->invariantChecksRun();
     }
+    std::uint64_t invariantViolations() const
+    {
+        return backend_->invariantViolations();
+    }
+    /** The violation reports of every node slice, in node order. */
+    std::string invariantReport() { return backend_->invariantReport(); }
+
+  protected:
+    /** Drive the nodes behind @p backend; a fault plan's link faults
+     *  must target one of its @p shard_links (0 when in-process). */
+    ClusterEngine(const ClusterConfig &config,
+                  std::unique_ptr<NodeBackend> backend, int shard_links);
 
   private:
-    struct Placement
-    {
-        bool accepted = false;
-        bool negotiated = false;
-        NodeId node = -1;
-    };
-
     ClusterMetrics run(ArrivalProcess &arrivals, Cycle horizon,
                        bool drain) CMPQOS_REQUIRES(driver_);
-    Placement place(const ClusterArrival &arrival)
-        CMPQOS_REQUIRES(driver_);
+    void place(const ClusterArrival &arrival) CMPQOS_REQUIRES(driver_);
     /**
-     * Choose among accepting nodes per policy; -1 if none accept.
-     * Dead nodes never probe. @p probe_faults applies the current
-     * drop/timeout skip set (relocation bypasses it: the GAC re-places
-     * from its own records, not through a lossy probe).
+     * One probe round; choose among accepting nodes per policy, -1 if
+     * none accept. Dead nodes never accept. @p probe_faults applies
+     * the current drop/timeout skip set (relocation bypasses it: the
+     * GAC re-places from its own records, not through a lossy probe).
+     * The round's records stay in probes_ for the observer.
      */
     NodeId choose(const JobRequest &request, InstCount instructions,
-                  bool probe_faults = true) CMPQOS_REQUIRES(driver_);
-    void advanceAll(Cycle from, Cycle to) CMPQOS_REQUIRES(driver_);
-    ClusterMetrics snapshot() const CMPQOS_REQUIRES(driver_);
+                  Cycle t, bool probe_faults = true)
+        CMPQOS_REQUIRES(driver_);
+    /** Probe at ever more relaxed deadlines until a node accepts (-1
+     *  if none); @p request keeps the last factor offered. */
+    NodeId negotiate(JobRequest &request, InstCount instructions,
+                     Cycle t, bool probe_faults = true)
+        CMPQOS_REQUIRES(driver_);
+    /** The one place the driver issues a barrier (controller-step
+     *  rule: see the definition). */
+    void advance(Cycle from, Cycle to) CMPQOS_REQUIRES(driver_);
+    ClusterMetrics snapshot() CMPQOS_REQUIRES(driver_);
 
     // Fault machinery (all driver-thread, all barrier-aligned).
     void applyFaultActions(Cycle t) CMPQOS_REQUIRES(driver_);
     void relocate(NodeId origin, const NodeWorker::LostJob &lost,
                   Cycle t) CMPQOS_REQUIRES(driver_);
     void refreshProbeFaults(Cycle t) CMPQOS_REQUIRES(driver_);
-    void checkAll() CMPQOS_REQUIRES(driver_);
 
     /**
      * The driver role: placement, fault actions, telemetry drains and
@@ -222,15 +237,20 @@ class ClusterEngine
     OwnerRole driver_;
 
     ClusterConfig config_;
-    ThreadPool pool_;
-    std::vector<std::unique_ptr<NodeWorker>> nodes_;
+    std::unique_ptr<NodeBackend> backend_;
+    /** backend_ when the nodes are in this process, else nullptr. */
+    LocalBackend *local_ = nullptr;
     TraceRecorder *driverTrace_ = nullptr;
 
     std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<InvariantChecker> checker_;
     FaultTallies faults_ CMPQOS_GUARDED_BY(driver_);
+    /** Per-node liveness as the driver's fault actions left it. */
+    std::vector<char> alive_ CMPQOS_GUARDED_BY(driver_);
     /** Per-node probe-fault skip set for the arrival being placed. */
     std::vector<char> probeSkip_ CMPQOS_GUARDED_BY(driver_);
+    /** The last probe round (global node order): the one that selected
+     *  the target, so the observer's slotStart source. */
+    std::vector<NodeProbe> probes_ CMPQOS_GUARDED_BY(driver_);
     /** Arrival seqs whose acceptance committed (duplicate-reply
      *  dedup; maintained only under an active injector). */
     std::unordered_set<std::uint64_t> committedSeqs_

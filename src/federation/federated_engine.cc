@@ -1,18 +1,21 @@
 #include "federated_engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <optional>
+#include <deque>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "control/config.hh"
 #include "control/controller.hh"
+#include "federation/shard_controller.hh"
+#include "federation/transport.hh"
 
 namespace cmpqos
 {
@@ -43,52 +46,167 @@ parseFedTransport(const std::string &name, FedTransport &out)
     return false;
 }
 
-FederatedEngine::FederatedEngine(const ClusterConfig &config,
-                                 const FederationConfig &federation)
-    : config_(config), federation_(federation)
+namespace
 {
-    driver_.grant();
-    cmpqos_assert(config_.nodes > 0, "cluster needs at least one node");
-    cmpqos_assert(config_.quantum > 0, "placement quantum must be > 0");
-    cmpqos_assert(federation_.shards >= 1 &&
-                      federation_.shards <= config_.nodes,
-                  "shard count %d must be in [1, %d nodes]",
-                  federation_.shards, config_.nodes);
-    resolvedThreads_ = config_.threads == 0
-                           ? ThreadPool::hardwareConcurrency()
-                           : config_.threads;
 
-    if (config_.telemetry != nullptr) {
-        cmpqos_assert(config_.telemetry->producers() >=
-                          config_.nodes + 1,
-                      "telemetry collector has %d producers, cluster "
-                      "needs %d (nodes + driver)",
-                      config_.telemetry->producers(), config_.nodes + 1);
-        driverTrace_ = config_.telemetry->driverRecorder();
+/**
+ * The node-backend seam over shard links. Probe rounds and barriers
+ * send to every reachable shard before reading any reply, gathering in
+ * shard order; single-node operations go to the owning shard. It owns
+ * the link half of the fault model: drop/dup/delay tallies on data-
+ * plane sends, and partition windows that defer a shard's advances.
+ * Only the engine's driver thread touches it; serve threads see only
+ * their own controller and link.
+ */
+class ShardBackend : public NodeBackend
+{
+  public:
+    ShardBackend(const ClusterConfig &config,
+                 const FederationConfig &federation);
+    ~ShardBackend() override;
+
+    unsigned threads() const override { return threads_; }
+    int shards() const override { return static_cast<int>(shards_.size()); }
+
+    std::vector<NodeProbe> probe(const JobRequest &request,
+                                 InstCount instructions,
+                                 Cycle t) override;
+    JobId
+    submit(NodeId node, const JobRequest &request, InstCount instructions,
+           Cycle t) override
+    {
+        const auto ack = ask<FedSubmitAck>(
+            node, FedSubmit{node, toWireRequest(request, instructions)}, t);
+        return ack.ok != 0 ? ack.jobId : invalidJob;
     }
+    NodeWorker::CrashReport crash(NodeId node, Cycle t) override
+    {
+        return fromWireCrash(ask<FedCrashReport>(node, FedCrash{node}, t));
+    }
+    void restart(NodeId node, Cycle t) override
+    {
+        ask<FedRestartAck>(node, FedRestart{node, t}, t);
+    }
+    void recordRelocationFailure(NodeId node, Cycle t) override
+    {
+        // Counted on the origin node: per-node failed tallies feed
+        // failedJobs and the fingerprint, so they live with the node.
+        ask<FedRelocFailAck>(node, FedRelocFail{node}, t);
+    }
+    void advance(Cycle from, Cycle to,
+                 const std::vector<Cycle> &stalls) override;
+    void drain() override;
+    std::vector<NodeMetrics> collect(FaultTallies &faults) override;
 
-    alive_.assign(static_cast<std::size_t>(config_.nodes), 1);
-    probeSkip_.assign(static_cast<std::size_t>(config_.nodes), 0);
-    if (config_.faultPlan != nullptr && !config_.faultPlan->empty()) {
-        config_.faultPlan->validate(config_.nodes, federation_.shards);
-        injector_ = std::make_unique<FaultInjector>(*config_.faultPlan,
-                                                    config_.quantum);
+    std::uint64_t invariantChecksRun() const override
+    {
+        return total(&Shard::checksRun);
+    }
+    std::uint64_t invariantViolations() const override
+    {
+        return total(&Shard::violations);
+    }
+    std::string invariantReport() override;
+
+  private:
+    /** One shard endpoint: link + backend handle + protocol state. */
+    struct Shard
+    {
+        int index = 0;
+        int nodeBegin = 0;
+        int nodeCount = 0;
+        std::unique_ptr<Link> link;
+        /** In-process backends: the controller and its serve thread. */
+        ShardController controller;
+        std::thread server;
+        std::string serveError;
+        /** Multi-process backend: the worker child. */
+        pid_t pid = -1;
+        /** Envelope sequence numbers (per direction). */
+        std::uint64_t txSeq = 0;
+        std::uint64_t rxSeq = 0;
+        /** Advances deferred by partition windows, flushed in order
+         *  when the window ends (and before the final drain or
+         *  snapshot). */
+        std::deque<FedAdvance> deferred;
+        /** Last gathered cumulative totals. */
+        std::uint64_t checksRun = 0;
+        std::uint64_t violations = 0;
+        std::uint64_t drops = 0;
+    };
+
+    void startShard(Shard &shard);
+    void sendPlain(Shard &shard, const FedMessage &msg);
+    /** Data-plane send: applies the shard-link fault model (drop =
+     *  tally + retransmit, dup = double delivery absorbed by seq
+     *  dedup, delay = virtual-cycle tally) before the real send. */
+    void sendFaulted(Shard &shard, const FedMessage &msg, Cycle t);
+    FedMessage receive(Shard &shard);
+    template <typename T> T expect(Shard &shard);
+    /** One data-plane round trip with the shard owning @p node. */
+    template <typename Reply>
+    Reply ask(NodeId node, const FedMessage &msg, Cycle t)
+    {
+        Shard &owner = shardOf(node);
+        sendFaulted(owner, msg, t);
+        return expect<Reply>(owner);
+    }
+    /** Fold one barrier reply (advance or drain) into the shard's
+     *  totals and deliver its telemetry batch into the hub. */
+    template <typename Done> void gatherBarrier(Shard &shard);
+    bool partitioned(const Shard &shard, Cycle t) const
+    {
+        return links_ != nullptr && links_->partitioned(shard.index, t);
+    }
+    Shard &shardOf(NodeId node);
+    /** Sum of one per-shard oracle total. */
+    std::uint64_t total(std::uint64_t Shard::*field) const;
+    /** Replay deferred advances of every shard reachable at the last
+     *  barrier (every shard when @p force), in order. */
+    void flushDeferred(bool force);
+
+    TraceCollector *telemetry_;
+    FederationConfig federation_;
+    unsigned threads_;
+    bool checkInvariants_;
+    /** The link half of the fault plan (nullptr when fault-free). */
+    std::unique_ptr<FaultInjector> links_;
+    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Shard-link tallies, added into the snapshot's fault tallies. */
+    FaultTallies linkFaults_;
+    /** Time of the last barrier: deferred advances flush against it. */
+    Cycle barrier_ = 0;
+};
+
+ShardBackend::ShardBackend(const ClusterConfig &config,
+                           const FederationConfig &federation)
+    : telemetry_(config.telemetry), federation_(federation),
+      threads_(config.threads == 0 ? ThreadPool::hardwareConcurrency()
+                                   : config.threads),
+      checkInvariants_(config.checkInvariants)
+{
+    cmpqos_assert(federation_.shards >= 1 &&
+                      federation_.shards <= config.nodes,
+                  "shard count %d must be in [1, %d nodes]",
+                  federation_.shards, config.nodes);
+    if (config.faultPlan != nullptr && !config.faultPlan->empty()) {
+        // Refuse a bad plan before any shard is spawned.
+        config.faultPlan->validate(config.nodes, federation_.shards);
+        links_ = std::make_unique<FaultInjector>(*config.faultPlan,
+                                                 config.quantum);
     }
 
     // The SAME SplitMix expansion of the cluster seed as the
     // single-process engine, over ALL nodes in global order — each
     // shard receives its slice, so per-node RNG streams are invariant
     // under the shard count.
-    Rng seeder(config_.seed);
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(static_cast<std::size_t>(config_.nodes));
-    for (int n = 0; n < config_.nodes; ++n)
-        seeds.push_back(seeder.next());
+    const std::vector<std::uint64_t> seeds =
+        nodeSeeds(config.seed, config.nodes);
 
     // Contiguous near-equal slices: base nodes each, the remainder
     // spread over the leading shards.
-    const int base = config_.nodes / federation_.shards;
-    const int rem = config_.nodes % federation_.shards;
+    const int base = config.nodes / federation_.shards;
+    const int rem = config.nodes % federation_.shards;
     int begin = 0;
     for (int s = 0; s < federation_.shards; ++s) {
         auto shard = std::make_unique<Shard>();
@@ -97,29 +215,26 @@ FederatedEngine::FederatedEngine(const ClusterConfig &config,
         shard->nodeCount = base + (s < rem ? 1 : 0);
         begin += shard->nodeCount;
         startShard(*shard);
-        shards_.push_back(std::move(shard));
-    }
-    cmpqos_assert(begin == config_.nodes, "shard slices must cover all nodes");
-
-    for (auto &shard : shards_) {
         FedInit init;
         init.shardIndex = static_cast<std::uint32_t>(shard->index);
-        init.shardCount =
-            static_cast<std::uint32_t>(federation_.shards);
+        init.shardCount = static_cast<std::uint32_t>(federation_.shards);
         init.nodeBegin = shard->nodeBegin;
         init.nodeCount = shard->nodeCount;
-        init.totalNodes = config_.nodes;
-        init.quantum = config_.quantum;
-        init.threads = resolvedThreads_;
-        init.telemetry = config_.telemetry != nullptr ? 1 : 0;
+        init.totalNodes = config.nodes;
+        init.quantum = config.quantum;
+        init.threads = threads_;
+        init.telemetry = telemetry_ != nullptr ? 1 : 0;
         init.ringCapacity = federation_.telemetryRing;
-        init.checkInvariants = config_.checkInvariants ? 1 : 0;
+        init.checkInvariants = checkInvariants_ ? 1 : 0;
         init.nodeSeeds.assign(
             seeds.begin() + shard->nodeBegin,
             seeds.begin() + shard->nodeBegin + shard->nodeCount);
-        init.control = formatControllerSpec(config_.control);
+        init.control = formatControllerSpec(config.control);
         sendPlain(*shard, init);
+        shards_.push_back(std::move(shard));
     }
+    cmpqos_assert(begin == config.nodes,
+                  "shard slices must cover all nodes");
     for (auto &shard : shards_) {
         const FedReady ready = expect<FedReady>(*shard);
         cmpqos_assert(ready.shardIndex ==
@@ -129,14 +244,11 @@ FederatedEngine::FederatedEngine(const ClusterConfig &config,
     }
 }
 
-FederatedEngine::~FederatedEngine()
+ShardBackend::~ShardBackend()
 {
-    driver_.grant();
     for (auto &shard : shards_) {
-        if (shard->link != nullptr) {
-            sendPlain(*shard, FedShutdown{});
-            shard->link->close();
-        }
+        sendPlain(*shard, FedShutdown{});
+        shard->link->close();
         if (shard->server.joinable())
             shard->server.join();
         if (shard->pid > 0) {
@@ -147,7 +259,7 @@ FederatedEngine::~FederatedEngine()
 }
 
 void
-FederatedEngine::startShard(Shard &shard)
+ShardBackend::startShard(Shard &shard)
 {
     const bool spawn = federation_.transport == FedTransport::Uds &&
                        !federation_.shardBinary.empty();
@@ -196,33 +308,30 @@ FederatedEngine::startShard(Shard &shard)
 }
 
 void
-FederatedEngine::sendPlain(Shard &shard, const FedMessage &msg)
+ShardBackend::sendPlain(Shard &shard, const FedMessage &msg)
 {
-    if (shard.link == nullptr)
-        return;
     shard.link->send(encodeFedPayload(++shard.txSeq, msg));
 }
 
 void
-FederatedEngine::sendFaulted(Shard &shard, const FedMessage &msg,
-                             Cycle t)
+ShardBackend::sendFaulted(Shard &shard, const FedMessage &msg, Cycle t)
 {
     const std::string payload = encodeFedPayload(++shard.txSeq, msg);
-    if (injector_ != nullptr) {
-        if (injector_->linkDropped(shard.index, t)) {
+    if (links_ != nullptr) {
+        if (links_->linkDropped(shard.index, t)) {
             // The first transmission is lost; the coordinator's
             // reliable-delivery discipline retransmits (the send
             // below), so the fault costs a tally, never a command.
-            ++faults_.linkDrops;
+            ++linkFaults_.linkDrops;
         }
-        if (injector_->linkDuplicated(shard.index, t)) {
+        if (links_->linkDuplicated(shard.index, t)) {
             // Double delivery, same sequence number: the shard's
             // dedup absorbs the second copy.
-            ++faults_.linkDups;
+            ++linkFaults_.linkDups;
             shard.link->send(payload);
         }
-        faults_.linkDelayCycles +=
-            injector_->linkDelayCycles(shard.index, t);
+        linkFaults_.linkDelayCycles +=
+            links_->linkDelayCycles(shard.index, t);
     }
     const bool ok = shard.link->send(payload);
     cmpqos_assert(ok, "shard %d link send failed: %s", shard.index,
@@ -230,7 +339,7 @@ FederatedEngine::sendFaulted(Shard &shard, const FedMessage &msg,
 }
 
 FedMessage
-FederatedEngine::receive(Shard &shard)
+ShardBackend::receive(Shard &shard)
 {
     std::string payload;
     if (!shard.link->recv(payload)) {
@@ -260,7 +369,7 @@ FederatedEngine::receive(Shard &shard)
 
 template <typename T>
 T
-FederatedEngine::expect(Shard &shard)
+ShardBackend::expect(Shard &shard)
 {
     FedMessage msg = receive(shard);
     T *reply = std::get_if<T>(&msg);
@@ -270,28 +379,15 @@ FederatedEngine::expect(Shard &shard)
     return std::move(*reply);
 }
 
-bool
-FederatedEngine::partitioned(const Shard &shard, Cycle t) const
-{
-    return injector_ != nullptr &&
-           injector_->partitioned(shard.index, t);
-}
-
-FederatedEngine::Shard &
-FederatedEngine::shardOf(NodeId node)
-{
-    for (auto &shard : shards_)
-        if (node >= shard->nodeBegin &&
-            node < shard->nodeBegin + shard->nodeCount)
-            return *shard;
-    cmpqos_panic("node %d is on no shard", node);
-}
-
+template <typename Done>
 void
-FederatedEngine::deliverBatch(Shard &shard, const std::string &events,
-                              std::uint64_t drops)
+ShardBackend::gatherBarrier(Shard &shard)
 {
-    if (config_.telemetry != nullptr && !events.empty()) {
+    const Done done = expect<Done>(shard);
+    shard.checksRun = done.checksRun;
+    shard.violations = done.violations;
+    const std::string &events = done.events;
+    if (telemetry_ != nullptr && !events.empty()) {
         cmpqos_assert(events.size() % sizeof(TraceEvent) == 0,
                       "shard %d telemetry batch of %zu bytes is not "
                       "a whole number of events",
@@ -300,448 +396,89 @@ FederatedEngine::deliverBatch(Shard &shard, const std::string &events,
         std::vector<TraceEvent> batch(events.size() /
                                       sizeof(TraceEvent));
         std::memcpy(batch.data(), events.data(), events.size());
-        config_.telemetry->deliverExternal(batch.data(), batch.size());
+        telemetry_->deliverExternal(batch.data(), batch.size());
     }
-    if (config_.telemetry != nullptr && drops > shard.drops)
-        config_.telemetry->noteExternalDrops(drops - shard.drops);
-    shard.drops = std::max(shard.drops, drops);
+    if (telemetry_ != nullptr && done.drops > shard.drops)
+        telemetry_->noteExternalDrops(done.drops - shard.drops);
+    shard.drops = std::max(shard.drops, done.drops);
 }
 
-NodeId
-FederatedEngine::choose(const JobRequest &request,
-                        InstCount instructions, Cycle t,
-                        bool probe_faults)
+ShardBackend::Shard &
+ShardBackend::shardOf(NodeId node)
+{
+    for (auto &shard : shards_)
+        if (node >= shard->nodeBegin &&
+            node < shard->nodeBegin + shard->nodeCount)
+            return *shard;
+    cmpqos_panic("node %d is on no shard", node);
+}
+
+std::vector<NodeProbe>
+ShardBackend::probe(const JobRequest &request, InstCount instructions,
+                    Cycle t)
 {
     // Probe-gather: every reachable shard probes its slice; replies
-    // concatenated in shard order ARE global node order, so the
-    // policy scan below is the single-process engine's node loop.
+    // concatenated in shard order ARE global node order.
     const WireJobRequest wire = toWireRequest(request, instructions);
-    lastProbes_.clear();
+    for (auto &shard : shards_)
+        if (!partitioned(*shard, t))
+            sendFaulted(*shard, FedProbe{wire}, t);
+    std::vector<NodeProbe> probes;
     for (auto &shard : shards_) {
         if (partitioned(*shard, t))
             continue; // unreachable slice: its nodes cannot bid
-        sendFaulted(*shard, FedProbe{wire}, t);
+        for (const WireProbe &w : expect<FedProbeReply>(*shard).probes)
+            probes.push_back({.node = w.node,
+                              .alive = w.alive != 0,
+                              .accepted = w.accepted != 0,
+                              .slotStart = w.slotStart,
+                              .load = w.load,
+                              .ways = w.ways});
     }
-    for (auto &shard : shards_) {
-        if (partitioned(*shard, t))
-            continue;
-        FedProbeReply reply = expect<FedProbeReply>(*shard);
-        lastProbes_.insert(lastProbes_.end(), reply.probes.begin(),
-                           reply.probes.end());
-    }
-
-    NodeId best = -1;
-    Cycle best_slot = maxCycle;
-    std::uint64_t best_load = 0;
-    unsigned best_ways = 0;
-    for (const WireProbe &p : lastProbes_) {
-        if (p.alive == 0)
-            continue;
-        if (probe_faults &&
-            probeSkip_[static_cast<std::size_t>(p.node)])
-            continue;
-        if (p.accepted == 0)
-            continue;
-        switch (config_.policy) {
-          case GacPolicy::FirstFit:
-            return p.node;
-          case GacPolicy::EarliestSlot:
-            if (best < 0 || p.slotStart < best_slot) {
-                best = p.node;
-                best_slot = p.slotStart;
-            }
-            break;
-          case GacPolicy::LeastLoaded:
-            if (best < 0 || p.load < best_load ||
-                (p.load == best_load && p.ways < best_ways)) {
-                best = p.node;
-                best_load = p.load;
-                best_ways = p.ways;
-            }
-            break;
-        }
-    }
-    return best;
+    return probes;
 }
 
 void
-FederatedEngine::refreshProbeFaults(Cycle t)
+ShardBackend::advance(Cycle from, Cycle to,
+                      const std::vector<Cycle> &stalls)
 {
-    if (injector_ == nullptr || !injector_->anyWindows())
-        return;
-    const bool tracing =
-        driverTrace_ != nullptr && driverTrace_->active();
-    for (NodeId n = 0; n < config_.nodes; ++n) {
-        const auto i = static_cast<std::size_t>(n);
-        probeSkip_[i] = 0;
-        if (!alive_[i])
-            continue;
-        if (injector_->probeDropped(n, t)) {
-            probeSkip_[i] = 1;
-            ++faults_.probesDropped;
-            if (tracing) {
-                TraceEvent e =
-                    traceEvent(TraceEventType::ProbeDropped, t);
-                e.a = static_cast<std::uint64_t>(n);
-                driverTrace_->emit(e);
-            }
-            continue;
-        }
-        const unsigned failures = injector_->probeTimeoutFailures(n, t);
-        if (failures == 0)
-            continue;
-        const bool abandoned = failures > config_.probeRetry.maxRetries;
-        if (abandoned) {
-            probeSkip_[i] = 1;
-            ++faults_.probeTimeouts;
-        } else {
-            faults_.probeRetries += failures;
-            faults_.backoffCycles +=
-                config_.probeRetry.totalBackoff(failures);
-        }
-        if (tracing) {
-            TraceEvent e = traceEvent(TraceEventType::ProbeTimeout, t);
-            e.a = static_cast<std::uint64_t>(n);
-            e.b = failures;
-            e.setName(abandoned ? "abandoned" : "recovered");
-            driverTrace_->emit(e);
-        }
-    }
-}
-
-FederatedEngine::Placement
-FederatedEngine::place(const ClusterArrival &arrival)
-{
-    const auto seq = static_cast<JobId>(submitted_);
-    ++submitted_;
-    const bool tracing =
-        driverTrace_ != nullptr && driverTrace_->active();
-    if (tracing) {
-        TraceEvent e = traceEvent(TraceEventType::JobSubmitted,
-                                  arrival.time, seq);
-        e.a = static_cast<std::uint64_t>(arrival.tier);
-        e.b = arrival.instructions;
-        e.x = arrival.request.deadlineFactor;
-        e.setName(arrival.request.benchmark);
-        driverTrace_->emit(e);
-    }
-    refreshProbeFaults(arrival.time);
-    Placement p;
-    JobRequest request = arrival.request;
-    NodeId target =
-        choose(request, arrival.instructions, arrival.time, true);
-
-    if (target < 0 && config_.negotiate) {
-        const double base = request.deadlineFactor;
-        for (double f = 1.0 + config_.negotiateStep;
-             f <= config_.negotiateMaxFactor + 1e-9;
-             f += config_.negotiateStep) {
-            request.deadlineFactor = base * f;
-            target = choose(request, arrival.instructions, arrival.time,
-                            true);
-            if (target >= 0) {
-                p.negotiated = true;
-                break;
-            }
-        }
-    }
-
-    if (target < 0) {
-        ++rejected_;
-        if (tracing) {
-            TraceEvent e = traceEvent(TraceEventType::JobRejected,
-                                      arrival.time, seq);
-            e.setName("no node accepted");
-            driverTrace_->emit(e);
-        }
-        if (config_.observer != nullptr) {
-            PlacementOutcome o;
-            o.seq = static_cast<std::uint64_t>(seq);
-            o.deadlineFactor = arrival.request.deadlineFactor;
-            config_.observer->onPlacement(arrival, o);
-        }
-        return p;
-    }
-
-    Cycle observed_slot = 0;
-    if (config_.observer != nullptr) {
-        // The selecting probe round already carries the reserved slot
-        // the reply will advertise (probe() is side-effect-free, so
-        // it equals the single-process engine's confirmation probe —
-        // without an extra message).
-        for (const WireProbe &probe : lastProbes_)
-            if (probe.node == target) {
-                observed_slot = probe.slotStart;
-                break;
-            }
-    }
-
-    Shard &owner = shardOf(target);
-    sendFaulted(owner,
-                FedSubmit{target, toWireRequest(request,
-                                                arrival.instructions)},
-                arrival.time);
-    const FedSubmitAck ack = expect<FedSubmitAck>(owner);
-    if (ack.ok == 0)
-        cmpqos_panic("probe/submit disagreement on node %d", target);
-    ++accepted_;
-    if (p.negotiated)
-        ++negotiated_;
-    ++acceptedByTier_[static_cast<std::size_t>(arrival.tier)];
-    p.accepted = true;
-    p.node = target;
-    if (injector_ != nullptr) {
-        const bool fresh =
-            committedSeqs_.insert(static_cast<std::uint64_t>(seq))
-                .second;
-        cmpqos_assert(fresh, "arrival %d committed twice", seq);
-        if (injector_->duplicateReply(target, arrival.time)) {
-            const bool dup =
-                committedSeqs_.insert(static_cast<std::uint64_t>(seq))
-                    .second;
-            cmpqos_assert(!dup,
-                          "duplicate reply slipped past the dedup");
-            ++faults_.duplicateReplies;
-            if (tracing) {
-                TraceEvent e = traceEvent(
-                    TraceEventType::DuplicateReplyDropped,
-                    arrival.time, seq);
-                e.a = static_cast<std::uint64_t>(target);
-                driverTrace_->emit(e);
-            }
-        }
-    }
-    if (tracing) {
-        if (p.negotiated) {
-            TraceEvent n = traceEvent(TraceEventType::JobNegotiated,
-                                      arrival.time, seq);
-            n.a = static_cast<std::uint64_t>(target);
-            n.x = request.deadlineFactor /
-                  arrival.request.deadlineFactor;
-            n.setName(arrival.request.benchmark);
-            driverTrace_->emit(n);
-        }
-        TraceEvent e = traceEvent(TraceEventType::ArrivalPlaced,
-                                  arrival.time, seq);
-        e.a = static_cast<std::uint64_t>(target);
-        e.b = static_cast<std::uint64_t>(ack.jobId);
-        driverTrace_->emit(e);
-    }
-    if (config_.observer != nullptr) {
-        PlacementOutcome o;
-        o.seq = static_cast<std::uint64_t>(seq);
-        o.accepted = true;
-        o.negotiated = p.negotiated;
-        o.node = target;
-        o.slotStart = observed_slot;
-        o.deadlineFactor = request.deadlineFactor;
-        config_.observer->onPlacement(arrival, o);
-    }
-    return p;
-}
-
-void
-FederatedEngine::relocate(NodeId origin,
-                          const NodeWorker::LostJob &lost, Cycle t)
-{
-    const bool tracing =
-        driverTrace_ != nullptr && driverTrace_->active();
-    JobRequest request = lost.request;
-    NodeId target = choose(request, lost.instructions, t, false);
-    bool negotiated = false;
-    bool downgraded = false;
-    if (target < 0 && config_.negotiate &&
-        lost.mode != ExecutionMode::Opportunistic) {
-        const double base = request.deadlineFactor;
-        for (double f = 1.0 + config_.negotiateStep;
-             f <= config_.negotiateMaxFactor + 1e-9;
-             f += config_.negotiateStep) {
-            request.deadlineFactor = base * f;
-            target = choose(request, lost.instructions, t, false);
-            if (target >= 0) {
-                negotiated = true;
-                break;
-            }
-        }
-    }
-    if (target < 0 && lost.mode == ExecutionMode::Elastic) {
-        JobRequest fallback = lost.request;
-        fallback.mode = ModeSpec::opportunistic();
-        target = choose(fallback, lost.instructions, t, false);
-        if (target >= 0) {
-            request = fallback;
-            downgraded = true;
-        }
-    }
-    if (target < 0) {
-        ++faults_.relocationRejected;
-        // The failure is counted on the origin node (per-node failed
-        // tallies feed failedJobs and the fingerprint), which lives
-        // on a shard.
-        Shard &origin_shard = shardOf(origin);
-        sendFaulted(origin_shard, FedRelocFail{origin}, t);
-        expect<FedRelocFailAck>(origin_shard);
-        if (tracing) {
-            TraceEvent e = traceEvent(TraceEventType::JobFailed, t,
-                                      lost.localJob);
-            e.a = static_cast<std::uint64_t>(origin);
-            e.b = static_cast<std::uint64_t>(lost.localJob);
-            e.setName("relocation-failed");
-            driverTrace_->emit(e);
-        }
-        return;
-    }
-    Shard &owner = shardOf(target);
-    sendFaulted(owner,
-                FedSubmit{target,
-                          toWireRequest(request, lost.instructions)},
-                t);
-    const FedSubmitAck ack = expect<FedSubmitAck>(owner);
-    if (ack.ok == 0)
-        cmpqos_panic("relocation probe/submit disagreement on node %d",
-                     target);
-    if (downgraded)
-        ++faults_.relocationDowngraded;
-    else
-        ++faults_.relocated;
-    if (tracing) {
-        TraceEvent e =
-            traceEvent(TraceEventType::JobRelocated, t, lost.localJob);
-        e.a = static_cast<std::uint64_t>(origin);
-        e.b = static_cast<std::uint64_t>(target);
-        e.setName(downgraded    ? "downgraded"
-                  : negotiated ? "renegotiated"
-                               : "readmitted");
-        driverTrace_->emit(e);
-    }
-}
-
-void
-FederatedEngine::applyFaultActions(Cycle t)
-{
-    if (injector_ == nullptr)
-        return;
-    const bool tracing =
-        driverTrace_ != nullptr && driverTrace_->active();
-    for (const FaultAction &action : injector_->actionsDue(t)) {
-        const auto i = static_cast<std::size_t>(action.node);
-        Shard &owner = shardOf(action.node);
-        if (action.type == FaultType::NodeCrash) {
-            if (!alive_[i])
-                continue;
-            ++faults_.crashes;
-            alive_[i] = 0;
-            sendFaulted(owner, FedCrash{action.node}, t);
-            const FedCrashReport report = expect<FedCrashReport>(owner);
-            if (tracing) {
-                TraceEvent e =
-                    traceEvent(TraceEventType::NodeCrashed, t);
-                e.a = static_cast<std::uint64_t>(action.node);
-                e.b = action.quantum;
-                driverTrace_->emit(e);
-                for (const std::uint64_t j : report.failedRunning) {
-                    TraceEvent f =
-                        traceEvent(TraceEventType::JobFailed, t,
-                                   static_cast<JobId>(j));
-                    f.a = static_cast<std::uint64_t>(action.node);
-                    f.b = j;
-                    f.setName("node-crash");
-                    driverTrace_->emit(f);
-                }
-            }
-            for (const WireLostJob &wire : report.waiting) {
-                NodeWorker::LostJob lost;
-                lost.localJob = wire.localJob;
-                lost.mode =
-                    wire.mode <= 2
-                        ? static_cast<ExecutionMode>(wire.mode)
-                        : ExecutionMode::Strict;
-                lost.request =
-                    fromWireRequest(wire.request, lost.instructions);
-                relocate(action.node, lost, t);
-            }
-        } else {
-            if (alive_[i])
-                continue;
-            ++faults_.restarts;
-            alive_[i] = 1;
-            sendFaulted(owner, FedRestart{action.node, t}, t);
-            expect<FedRestartAck>(owner);
-            if (tracing) {
-                TraceEvent e =
-                    traceEvent(TraceEventType::NodeRestarted, t);
-                e.a = static_cast<std::uint64_t>(action.node);
-                e.b = action.quantum;
-                driverTrace_->emit(e);
-            }
-        }
-    }
-}
-
-void
-FederatedEngine::advanceAll(Cycle from, Cycle to)
-{
-    // Stalls are computed coordinator-side over the full node vector
-    // (the single-process engine's driver-side discipline), then
-    // sliced per shard.
-    const bool stalls_possible =
-        injector_ != nullptr && injector_->anyWindows();
-    std::vector<Cycle> stalls;
-    if (stalls_possible) {
-        stalls.assign(static_cast<std::size_t>(config_.nodes), 0);
-        for (int n = 0; n < config_.nodes; ++n) {
-            const auto i = static_cast<std::size_t>(n);
-            if (!alive_[i])
-                continue;
-            stalls[i] = injector_->stallCycles(n, from);
-            if (stalls[i] > 0)
-                ++faults_.stalledQuanta;
-        }
-    }
-
     // Commit barrier: ship the advance to every reachable shard, then
     // gather one FedQuantumDone per shard in shard order. A shard
-    // behind a partition window gets the advance deferred instead —
-    // flushed, still in order, when the window ends.
-    std::vector<char> sent(shards_.size(), 0);
+    // behind a partition window gets the advance deferred instead.
     for (auto &shard : shards_) {
         FedAdvance adv;
         adv.from = from;
         adv.to = to;
-        if (stalls_possible)
+        if (!stalls.empty())
             adv.stalls.assign(
                 stalls.begin() + shard->nodeBegin,
                 stalls.begin() + shard->nodeBegin + shard->nodeCount);
-        adv.check = config_.checkInvariants ? 1 : 0;
+        adv.check = checkInvariants_ ? 1 : 0;
         if (partitioned(*shard, from)) {
-            ++faults_.partitionedQuanta;
+            ++linkFaults_.partitionedQuanta;
             shard->deferred.push_back(std::move(adv));
             continue;
         }
         sendFaulted(*shard, adv, from);
-        sent[static_cast<std::size_t>(shard->index)] = 1;
     }
     // Driver ring first, then shard batches in shard order — the
     // exact producer order a single-process drain delivers.
-    if (config_.telemetry != nullptr)
-        config_.telemetry->drain();
-    for (auto &shard : shards_) {
-        if (!sent[static_cast<std::size_t>(shard->index)])
-            continue;
-        const FedQuantumDone done = expect<FedQuantumDone>(*shard);
-        shard->checksRun = done.checksRun;
-        shard->violations = done.violations;
-        deliverBatch(*shard, done.events, done.drops);
-    }
+    if (telemetry_ != nullptr)
+        telemetry_->drain();
+    for (auto &shard : shards_)
+        if (!partitioned(*shard, from))
+            gatherBarrier<FedQuantumDone>(*shard);
+    // Shards whose partition healed by this barrier catch up before
+    // anything else happens at it.
+    barrier_ = to;
+    flushDeferred(false);
 }
 
 void
-FederatedEngine::flushDeferred(Cycle t, bool force)
+ShardBackend::flushDeferred(bool force)
 {
     for (auto &shard : shards_) {
-        if (shard->deferred.empty())
-            continue;
-        if (!force && partitioned(*shard, t))
+        if (!force && partitioned(*shard, barrier_))
             continue;
         // The partition healed (or the run is ending): replay the
         // deferred barriers in order. Node state catches up exactly —
@@ -749,138 +486,36 @@ FederatedEngine::flushDeferred(Cycle t, bool force)
         while (!shard->deferred.empty()) {
             FedAdvance adv = std::move(shard->deferred.front());
             shard->deferred.pop_front();
-            sendFaulted(*shard, adv, t);
-            const FedQuantumDone done = expect<FedQuantumDone>(*shard);
-            shard->checksRun = done.checksRun;
-            shard->violations = done.violations;
-            deliverBatch(*shard, done.events, done.drops);
+            sendFaulted(*shard, adv, barrier_);
+            gatherBarrier<FedQuantumDone>(*shard);
         }
     }
 }
 
 void
-FederatedEngine::drainAllShards()
+ShardBackend::drain()
 {
-    for (auto &shard : shards_)
-        sendPlain(*shard, FedDrainReq{});
-    if (config_.telemetry != nullptr)
-        config_.telemetry->drain();
-    for (auto &shard : shards_) {
-        const FedDrainDone done = expect<FedDrainDone>(*shard);
-        shard->checksRun = done.checksRun;
-        shard->violations = done.violations;
-        deliverBatch(*shard, done.events, done.drops);
-    }
-}
-
-ClusterMetrics
-FederatedEngine::run(ArrivalProcess &arrivals, Cycle horizon,
-                     bool drain)
-{
-    // detlint:allow(wall-clock): measurement-only host wall time for
-    // the metrics snapshot; never feeds virtual time or placement.
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    std::optional<ClusterArrival> pending = arrivals.next();
-    Cycle t = 0;
-    while (t < horizon) {
-        flushDeferred(t, false);
-        applyFaultActions(t);
-
-        Cycle next_q = t + config_.quantum;
-        if (pending && pending->time >= next_q) {
-            const Cycle boundary =
-                pending->time - (pending->time % config_.quantum);
-            next_q = std::max(next_q, boundary);
-        }
-        if (injector_ != nullptr) {
-            const Cycle ev = injector_->nextEventTime(t);
-            if (ev < next_q) {
-                next_q = t + config_.quantum;
-            } else if (!pending && injector_->actionsPending() &&
-                       ev != maxCycle && ev > next_q) {
-                next_q = ev;
-            }
-        }
-        if (next_q > horizon)
-            next_q = horizon;
-
-        while (pending && pending->time < next_q) {
-            if (pending->time >= horizon)
-                break;
-            place(*pending);
-            pending = arrivals.next();
-        }
-
-        if (!pending && !drain)
-            break;
-        if (!pending && drain &&
-            !(injector_ != nullptr && injector_->actionsPending()))
-            break;
-        advanceAll(t, next_q);
-        t = next_q;
-        if (config_.observer != nullptr)
-            config_.observer->onQuantum(t);
-    }
-
     // The run is ending: any partition still open heals now so no
     // barrier is lost.
-    flushDeferred(t, true);
-    if (drain) {
-        drainAllShards();
-    } else {
-        advanceAll(t, horizon);
-        if (pending)
-            ++truncated_;
-    }
-    if (config_.observer != nullptr)
-        config_.observer->onQuantum(drain ? t : horizon);
-
-    // detlint:allow(wall-clock): measurement-only host wall time for
-    // the metrics snapshot; never feeds virtual time or placement.
-    const auto wall_end = std::chrono::steady_clock::now();
-    wallSeconds_ +=
-        std::chrono::duration<double>(wall_end - wall_start).count();
-    return snapshot();
+    flushDeferred(true);
+    for (auto &shard : shards_)
+        sendPlain(*shard, FedDrainReq{});
+    if (telemetry_ != nullptr)
+        telemetry_->drain();
+    for (auto &shard : shards_)
+        gatherBarrier<FedDrainDone>(*shard);
 }
 
-ClusterMetrics
-FederatedEngine::runToCompletion(ArrivalProcess &arrivals)
+std::vector<NodeMetrics>
+ShardBackend::collect(FaultTallies &faults)
 {
-    driver_.grant();
-    return run(arrivals, maxCycle, true);
-}
-
-ClusterMetrics
-FederatedEngine::runForDuration(ArrivalProcess &arrivals,
-                                Cycle duration)
-{
-    cmpqos_assert(duration > 0, "duration must be > 0");
-    driver_.grant();
-    return run(arrivals, duration, false);
-}
-
-ClusterMetrics
-FederatedEngine::snapshot()
-{
-    ClusterMetrics m;
-    m.seed = config_.seed;
-    m.threads = resolvedThreads_;
-    m.shards = numShards();
-    m.quantum = config_.quantum;
-    m.submitted = submitted_;
-    m.accepted = accepted_;
-    m.rejected = rejected_;
-    m.negotiated = negotiated_;
-    m.truncated = truncated_;
-    m.acceptedByTier = acceptedByTier_;
-    m.wallSeconds = wallSeconds_;
-    m.faults = faults_;
-    m.invariantViolations = invariantViolations();
-    m.controllerOn = config_.control.enabled;
+    flushDeferred(true);
+    faults.linkDrops += linkFaults_.linkDrops;
+    faults.linkDups += linkFaults_.linkDups;
+    faults.linkDelayCycles += linkFaults_.linkDelayCycles;
+    faults.partitionedQuanta += linkFaults_.partitionedQuanta;
 
     std::vector<NodeMetrics> per_node;
-    per_node.reserve(static_cast<std::size_t>(config_.nodes));
     for (auto &shard : shards_) {
         sendPlain(*shard, FedSnapshotReq{});
         const FedSnapshotReply reply = expect<FedSnapshotReply>(*shard);
@@ -889,67 +524,24 @@ FederatedEngine::snapshot()
                       "shard %d snapshot covers %zu of %d nodes",
                       shard->index, reply.nodes.size(),
                       shard->nodeCount);
-        for (const WireNodeMetrics &w : reply.nodes) {
-            NodeMetrics nm;
-            nm.node = w.node;
-            nm.virtualTime = w.virtualTime;
-            nm.placed = w.placed;
-            nm.completed = w.completed;
-            nm.inFlight = w.inFlight;
-            nm.instructions = w.instructions;
-            nm.utilisation = w.utilisation;
-            nm.stolenWays = w.stolenWays;
-            nm.failed = w.failed;
-            nm.restarts = w.restarts;
-            nm.alive = w.alive != 0;
-            cmpqos_assert(w.modeTallies.size() ==
-                              nm.byMode.size() * 2,
-                          "shard %d node %d shipped %zu mode tallies",
-                          shard->index, w.node, w.modeTallies.size());
-            for (std::size_t i = 0; i < nm.byMode.size(); ++i) {
-                nm.byMode[i].completed = w.modeTallies[2 * i];
-                nm.byMode[i].deadlineHits = w.modeTallies[2 * i + 1];
-            }
-            nm.energy = w.energy;
-            cmpqos_assert(w.controlTallies.empty() ||
-                              w.controlTallies.size() ==
-                                  ControlTallies::numFields,
-                          "shard %d node %d shipped %zu control tallies",
-                          shard->index, w.node,
-                          w.controlTallies.size());
-            if (!w.controlTallies.empty())
-                nm.control = unflattenTallies(w.controlTallies);
-            per_node.push_back(nm);
-        }
+        for (const WireNodeMetrics &w : reply.nodes)
+            per_node.push_back(fromWireMetrics(w));
     }
-    MetricsExporter::aggregate(m, per_node);
-    return m;
+    return per_node;
 }
 
 std::uint64_t
-FederatedEngine::invariantChecksRun() const
+ShardBackend::total(std::uint64_t Shard::*field) const
 {
-    driver_.grant();
-    std::uint64_t total = 0;
+    std::uint64_t sum = 0;
     for (const auto &shard : shards_)
-        total += shard->checksRun;
-    return total;
-}
-
-std::uint64_t
-FederatedEngine::invariantViolations() const
-{
-    driver_.grant();
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard->violations;
-    return total;
+        sum += (*shard).*field;
+    return sum;
 }
 
 std::string
-FederatedEngine::invariantReport()
+ShardBackend::invariantReport()
 {
-    driver_.grant();
     std::string report;
     for (auto &shard : shards_) {
         sendPlain(*shard, FedInvariantReq{});
@@ -960,6 +552,16 @@ FederatedEngine::invariantReport()
         report += reply.report;
     }
     return report;
+}
+
+} // namespace
+
+FederatedEngine::FederatedEngine(const ClusterConfig &config,
+                                 const FederationConfig &federation)
+    : ClusterEngine(config,
+                    std::make_unique<ShardBackend>(config, federation),
+                    federation.shards)
+{
 }
 
 } // namespace cmpqos

@@ -1,20 +1,19 @@
 /**
  * @file
- * The federation coordinator: the cluster engine's driver loop with
- * the node slice pushed behind shard links. The coordinator owns the
- * arrival stream, the GAC placement policy, negotiation, the fault
- * injector and the telemetry hub — exactly the single-process
- * engine's driver responsibilities — while every node advance, probe
- * and submission crosses a Transport to the shard controller that
- * owns the node.
+ * The federated engine: the cluster driver (ClusterEngine) over a
+ * shard backend. The driver keeps every GAC responsibility — the
+ * arrival stream, placement policy, negotiation, the fault injector,
+ * the telemetry hub — in this process, while the nodes live on shard
+ * controllers, each owning a contiguous slice behind a Link, so every
+ * node probe, submission and advance is a message.
  *
  * Epoch-commit protocol per placement quantum:
  *
- *   1. probe-gather — one FedProbe per reachable shard, replies
- *      concatenated in shard order (= global node order, shards own
- *      contiguous slices) so the policy scan is identical to the
- *      single-process engine's node loop;
- *   2. admit decision — the GAC picks a node, negotiates relaxed
+ *   1. probe-gather — one FedProbe per reachable shard, all sent
+ *      before any reply is read, replies concatenated in shard order
+ *      (= global node order, shards own contiguous slices) so the
+ *      driver's policy scan sees exactly the in-process probe round;
+ *   2. admit decision — the driver picks a node, negotiates relaxed
  *      deadlines through further probe rounds, and commits with
  *      FedSubmit to the owning shard;
  *   3. commit barrier — FedAdvance to every shard, one FedQuantumDone
@@ -39,18 +38,10 @@
 #ifndef CMPQOS_FEDERATION_FEDERATED_ENGINE_HH
 #define CMPQOS_FEDERATION_FEDERATED_ENGINE_HH
 
-#include <deque>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
-
-#include <sys/types.h>
 
 #include "cluster/engine.hh"
-#include "federation/shard_controller.hh"
-#include "federation/transport.hh"
+#include "federation/message.hh"
 
 namespace cmpqos
 {
@@ -89,152 +80,16 @@ struct FederationConfig
 };
 
 /**
- * Sharded cluster engine: ClusterEngine's contract over shard links.
- * Accepts the same ClusterConfig (telemetry, fault plan, observer,
- * invariant oracle) and returns the same ClusterMetrics.
+ * Sharded cluster engine: ClusterEngine with its nodes spread over
+ * shard controllers. Accepts the same ClusterConfig (telemetry, fault
+ * plan, observer, invariant oracle) and returns the same
+ * ClusterMetrics; only the construction differs.
  */
-class FederatedEngine
+class FederatedEngine : public ClusterEngine
 {
   public:
     FederatedEngine(const ClusterConfig &config,
                     const FederationConfig &federation);
-    ~FederatedEngine();
-
-    FederatedEngine(const FederatedEngine &) = delete;
-    FederatedEngine &operator=(const FederatedEngine &) = delete;
-
-    int numNodes() const { return config_.nodes; }
-    int numShards() const { return static_cast<int>(shards_.size()); }
-    /** Worker threads per shard (FedInit ships the resolved count so
-     *  every shard matches). */
-    unsigned numThreads() const { return resolvedThreads_; }
-
-    /** See ClusterEngine::runToCompletion. */
-    ClusterMetrics runToCompletion(ArrivalProcess &arrivals);
-    /** See ClusterEngine::runForDuration. */
-    ClusterMetrics runForDuration(ArrivalProcess &arrivals,
-                                  Cycle duration);
-
-    /** Driver-side fault tallies so far (includes the shard-link
-     *  tallies the single-process engine can never have). */
-    const FaultTallies &
-    faultTallies() const
-    {
-        driver_.grant();
-        return faults_;
-    }
-
-    /** Oracle totals summed over shards (cumulative, as of the last
-     *  gathered barrier). Zero when checkInvariants was off. */
-    std::uint64_t invariantChecksRun() const;
-    std::uint64_t invariantViolations() const;
-    /** Gather the per-shard violation reports (shard order). */
-    std::string invariantReport();
-
-  private:
-    /** One shard endpoint: link + backend handle + protocol state. */
-    struct Shard
-    {
-        int index = 0;
-        int nodeBegin = 0;
-        int nodeCount = 0;
-        std::unique_ptr<Link> link;
-        /** In-process backends: the controller and its serve thread. */
-        ShardController controller;
-        std::thread server;
-        std::string serveError;
-        /** Multi-process backend: the worker child. */
-        pid_t pid = -1;
-        /** Envelope sequence numbers (per direction). */
-        std::uint64_t txSeq = 0;
-        std::uint64_t rxSeq = 0;
-        /** Advances deferred by partition windows, flushed in order
-         *  when the window ends (and before the final drain). */
-        std::deque<FedAdvance> deferred;
-        /** Last gathered cumulative totals. */
-        std::uint64_t checksRun = 0;
-        std::uint64_t violations = 0;
-        std::uint64_t drops = 0;
-    };
-
-    struct Placement
-    {
-        bool accepted = false;
-        bool negotiated = false;
-        NodeId node = -1;
-    };
-
-    ClusterMetrics run(ArrivalProcess &arrivals, Cycle horizon,
-                       bool drain) CMPQOS_REQUIRES(driver_);
-    Placement place(const ClusterArrival &arrival)
-        CMPQOS_REQUIRES(driver_);
-    NodeId choose(const JobRequest &request, InstCount instructions,
-                  Cycle t, bool probe_faults) CMPQOS_REQUIRES(driver_);
-    void advanceAll(Cycle from, Cycle to) CMPQOS_REQUIRES(driver_);
-    void flushDeferred(Cycle t, bool force) CMPQOS_REQUIRES(driver_);
-    void drainAllShards() CMPQOS_REQUIRES(driver_);
-    ClusterMetrics snapshot() CMPQOS_REQUIRES(driver_);
-
-    void applyFaultActions(Cycle t) CMPQOS_REQUIRES(driver_);
-    void relocate(NodeId origin, const NodeWorker::LostJob &lost,
-                  Cycle t) CMPQOS_REQUIRES(driver_);
-    void refreshProbeFaults(Cycle t) CMPQOS_REQUIRES(driver_);
-
-    // Link plumbing.
-    void startShard(Shard &shard) CMPQOS_REQUIRES(driver_);
-    void sendPlain(Shard &shard, const FedMessage &msg)
-        CMPQOS_REQUIRES(driver_);
-    /** Data-plane send: applies the shard-link fault model (drop =
-     *  tally + retransmit, dup = double delivery absorbed by seq
-     *  dedup, delay = virtual-cycle tally) before the real send. */
-    void sendFaulted(Shard &shard, const FedMessage &msg, Cycle t)
-        CMPQOS_REQUIRES(driver_);
-    FedMessage receive(Shard &shard) CMPQOS_REQUIRES(driver_);
-    template <typename T>
-    T expect(Shard &shard) CMPQOS_REQUIRES(driver_);
-    /** Deliver one shard telemetry batch into the hub and fold the
-     *  shard's cumulative drop count in. */
-    void deliverBatch(Shard &shard, const std::string &events,
-                      std::uint64_t drops) CMPQOS_REQUIRES(driver_);
-    bool partitioned(const Shard &shard, Cycle t) const
-        CMPQOS_REQUIRES(driver_);
-
-    Shard &shardOf(NodeId node) CMPQOS_REQUIRES(driver_);
-
-    /**
-     * The driver role, identical to ClusterEngine's: the one thread
-     * driving run() owns placement, fault actions, telemetry and the
-     * shard links. Serve threads never touch coordinator state — they
-     * only see their own controller + link.
-     */
-    OwnerRole driver_;
-
-    ClusterConfig config_;
-    FederationConfig federation_;
-    unsigned resolvedThreads_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_
-        CMPQOS_GUARDED_BY(driver_);
-    TraceRecorder *driverTrace_ = nullptr;
-
-    std::unique_ptr<FaultInjector> injector_;
-    FaultTallies faults_ CMPQOS_GUARDED_BY(driver_);
-    /** Coordinator mirrors of per-node liveness (global node id). */
-    std::vector<char> alive_ CMPQOS_GUARDED_BY(driver_);
-    std::vector<char> probeSkip_ CMPQOS_GUARDED_BY(driver_);
-    std::unordered_set<std::uint64_t> committedSeqs_
-        CMPQOS_GUARDED_BY(driver_);
-    /** Probes gathered by the round that selected the last target
-     *  (global node order) — the observer's slotStart source. */
-    std::vector<WireProbe> lastProbes_ CMPQOS_GUARDED_BY(driver_);
-
-    std::uint64_t submitted_ CMPQOS_GUARDED_BY(driver_) = 0;
-    std::uint64_t accepted_ CMPQOS_GUARDED_BY(driver_) = 0;
-    std::uint64_t rejected_ CMPQOS_GUARDED_BY(driver_) = 0;
-    std::uint64_t negotiated_ CMPQOS_GUARDED_BY(driver_) = 0;
-    std::uint64_t truncated_ CMPQOS_GUARDED_BY(driver_) = 0;
-    std::array<std::uint64_t, numQosTiers>
-        acceptedByTier_ CMPQOS_GUARDED_BY(driver_){};
-    double wallSeconds_ CMPQOS_GUARDED_BY(driver_) = 0.0;
 };
 
 } // namespace cmpqos

@@ -2,11 +2,9 @@
 
 #include <cstring>
 
-#include "cluster/metrics.hh"
 #include "common/logging.hh"
 #include "control/config.hh"
 #include "control/controller.hh"
-#include "qos/admission.hh"
 
 namespace cmpqos
 {
@@ -56,6 +54,99 @@ fromWireRequest(const WireJobRequest &w, InstCount &instructions)
     return r;
 }
 
+FedCrashReport
+toWireCrash(NodeId node, const NodeWorker::CrashReport &report)
+{
+    FedCrashReport r;
+    r.node = node;
+    r.failedRunning.reserve(report.failedRunning.size());
+    for (const JobId id : report.failedRunning)
+        r.failedRunning.push_back(static_cast<std::uint64_t>(id));
+    r.waiting.reserve(report.waiting.size());
+    for (const NodeWorker::LostJob &lost : report.waiting) {
+        WireLostJob w;
+        w.localJob = lost.localJob;
+        w.mode = static_cast<std::uint8_t>(lost.mode);
+        w.request = toWireRequest(lost.request, lost.instructions);
+        r.waiting.push_back(std::move(w));
+    }
+    return r;
+}
+
+NodeWorker::CrashReport
+fromWireCrash(const FedCrashReport &w)
+{
+    NodeWorker::CrashReport report;
+    for (const std::uint64_t j : w.failedRunning)
+        report.failedRunning.push_back(static_cast<JobId>(j));
+    for (const WireLostJob &wire : w.waiting) {
+        NodeWorker::LostJob lost;
+        lost.localJob = wire.localJob;
+        lost.mode = wire.mode <= 2 ? static_cast<ExecutionMode>(wire.mode)
+                                   : ExecutionMode::Strict;
+        lost.request = fromWireRequest(wire.request, lost.instructions);
+        report.waiting.push_back(std::move(lost));
+    }
+    return report;
+}
+
+WireNodeMetrics
+toWireMetrics(const NodeMetrics &nm)
+{
+    WireNodeMetrics w;
+    w.node = nm.node;
+    w.virtualTime = nm.virtualTime;
+    w.placed = nm.placed;
+    w.completed = nm.completed;
+    w.inFlight = nm.inFlight;
+    w.instructions = nm.instructions;
+    w.utilisation = nm.utilisation;
+    w.stolenWays = nm.stolenWays;
+    w.failed = nm.failed;
+    w.restarts = nm.restarts;
+    w.alive = nm.alive ? 1 : 0;
+    w.modeTallies.reserve(nm.byMode.size() * 2);
+    for (const ModeTally &tally : nm.byMode) {
+        w.modeTallies.push_back(tally.completed);
+        w.modeTallies.push_back(tally.deadlineHits);
+    }
+    w.energy = nm.energy;
+    w.controlTallies = flattenTallies(nm.control);
+    return w;
+}
+
+NodeMetrics
+fromWireMetrics(const WireNodeMetrics &w)
+{
+    NodeMetrics nm;
+    nm.node = w.node;
+    nm.virtualTime = w.virtualTime;
+    nm.placed = w.placed;
+    nm.completed = w.completed;
+    nm.inFlight = w.inFlight;
+    nm.instructions = w.instructions;
+    nm.utilisation = w.utilisation;
+    nm.stolenWays = w.stolenWays;
+    nm.failed = w.failed;
+    nm.restarts = w.restarts;
+    nm.alive = w.alive != 0;
+    cmpqos_assert(w.modeTallies.size() == nm.byMode.size() * 2,
+                  "node %d shipped %zu mode tallies", w.node,
+                  w.modeTallies.size());
+    for (std::size_t i = 0; i < nm.byMode.size(); ++i) {
+        nm.byMode[i].completed = w.modeTallies[2 * i];
+        nm.byMode[i].deadlineHits = w.modeTallies[2 * i + 1];
+    }
+    nm.energy = w.energy;
+    cmpqos_assert(w.controlTallies.empty() ||
+                      w.controlTallies.size() == ControlTallies::numFields,
+                  "node %d shipped %zu control tallies", w.node,
+                  w.controlTallies.size());
+    if (!w.controlTallies.empty())
+        nm.control = unflattenTallies(w.controlTallies);
+    return nm;
+}
+
 bool
 ShardController::serve(Link &link, std::string &error)
 {
@@ -97,26 +188,62 @@ ShardController::handle(const FedMessage &msg)
 {
     if (const auto *m = std::get_if<FedInit>(&msg))
         return onInit(*m);
-    if (const auto *m = std::get_if<FedProbe>(&msg))
-        return onProbe(*m);
-    if (const auto *m = std::get_if<FedSubmit>(&msg))
-        return onSubmit(*m);
+    if (nodes_ == nullptr)
+        return FedError{std::string(fedMessageName(msg)) +
+                        " before FedInit"};
+    if (const auto *m = std::get_if<FedProbe>(&msg)) {
+        InstCount instructions = 0;
+        const JobRequest request =
+            fromWireRequest(m->request, instructions);
+        FedProbeReply reply;
+        for (const NodeProbe &p : nodes_->probe(request, instructions, 0))
+            reply.probes.push_back({.node = p.node,
+                                    .alive = p.alive,
+                                    .accepted = p.accepted,
+                                    .slotStart = p.slotStart,
+                                    .load = p.load,
+                                    .ways = p.ways});
+        return reply;
+    }
+    if (const auto *m = std::get_if<FedSubmit>(&msg)) {
+        InstCount instructions = 0;
+        const JobRequest request =
+            fromWireRequest(m->request, instructions);
+        const JobId job =
+            nodes_->submit(m->node, request, instructions, 0);
+        return FedSubmitAck{
+            .node = m->node, .jobId = job, .ok = job != invalidJob};
+    }
     if (const auto *m = std::get_if<FedCrash>(&msg))
-        return onCrash(*m);
-    if (const auto *m = std::get_if<FedRestart>(&msg))
-        return onRestart(*m);
+        return toWireCrash(m->node, nodes_->crash(m->node, 0));
+    if (const auto *m = std::get_if<FedRestart>(&msg)) {
+        nodes_->restart(m->node, m->now);
+        return FedRestartAck{m->node};
+    }
     if (const auto *m = std::get_if<FedAdvance>(&msg))
         return onAdvance(*m);
     if (const auto *m = std::get_if<FedRelocFail>(&msg)) {
-        local(m->node).recordRelocationFailure();
+        nodes_->recordRelocationFailure(m->node, 0);
         return FedRelocFailAck{m->node};
     }
-    if (std::holds_alternative<FedDrainReq>(msg))
-        return onDrain();
-    if (std::holds_alternative<FedSnapshotReq>(msg))
-        return onSnapshot();
-    if (std::holds_alternative<FedInvariantReq>(msg))
-        return onInvariant();
+    if (std::holds_alternative<FedDrainReq>(msg)) {
+        nodes_->drain();
+        return barrierDone<FedDrainDone>();
+    }
+    if (std::holds_alternative<FedSnapshotReq>(msg)) {
+        FaultTallies unused;
+        FedSnapshotReply reply;
+        for (const NodeMetrics &nm : nodes_->collect(unused))
+            reply.nodes.push_back(toWireMetrics(nm));
+        return reply;
+    }
+    if (std::holds_alternative<FedInvariantReq>(msg)) {
+        FedInvariantReport report;
+        report.checksRun = nodes_->invariantChecksRun();
+        report.violations = nodes_->invariantViolations();
+        report.report = nodes_->invariantReport();
+        return report;
+    }
     return FedError{std::string("unexpected message: ") +
                     fedMessageName(msg)};
 }
@@ -133,15 +260,16 @@ ShardController::onInit(const FedInit &m)
         m.nodeSeeds.size() != static_cast<std::size_t>(m.nodeCount))
         return FedError{"malformed init: node count / seed mismatch"};
 
-    shardIndex_ = m.shardIndex;
-    nodeBegin_ = m.nodeBegin;
-    pool_ = std::make_unique<ThreadPool>(m.threads > 0 ? m.threads : 1);
+    ControllerConfig control;
+    if (!m.control.empty()) {
+        std::string parse_error;
+        if (!parseControllerSpec(m.control, control, parse_error))
+            return FedError{"bad controller spec: " + parse_error};
+    }
 
-    nodes_.clear();
-    collector_.reset();
+    nodes_.reset();
     buffer_.reset();
-    checker_.reset();
-
+    collector_.reset();
     if (m.telemetry != 0) {
         TelemetryConfig tc;
         if (m.ringCapacity > 0)
@@ -152,224 +280,40 @@ ShardController::onInit(const FedInit &m)
             static_cast<std::int16_t>(m.nodeBegin));
         collector_->addSink(buffer_.get());
     }
-    if (m.checkInvariants != 0)
-        checker_ = std::make_unique<InvariantChecker>();
-
-    ControllerConfig control;
-    if (!m.control.empty()) {
-        std::string parse_error;
-        if (!parseControllerSpec(m.control, control, parse_error))
-            return FedError{"bad controller spec: " + parse_error};
-    }
-
     // Node ids and seeds are global: the coordinator derives every
     // node's seed from the cluster seed and ships this shard's slice,
     // so each node's RNG stream is identical at any shard count.
-    FrameworkConfig node_config;
-    nodes_.reserve(static_cast<std::size_t>(m.nodeCount));
-    for (std::int32_t local = 0; local < m.nodeCount; ++local) {
-        auto worker = std::make_unique<NodeWorker>(
-            m.nodeBegin + local, node_config,
-            m.nodeSeeds[static_cast<std::size_t>(local)]);
-        if (collector_ != nullptr)
-            worker->setTrace(collector_->nodeRecorder(local));
-        if (control.enabled)
-            worker->enableController(control);
-        nodes_.push_back(std::move(worker));
-    }
+    nodes_ = std::make_unique<LocalBackend>(
+        m.nodeBegin, m.nodeSeeds, FrameworkConfig{},
+        m.threads > 0 ? m.threads : 1, collector_.get(),
+        m.checkInvariants != 0, control);
     return FedReady{m.shardIndex};
-}
-
-FedMessage
-ShardController::onProbe(const FedProbe &m)
-{
-    InstCount instructions = 0;
-    const JobRequest request = fromWireRequest(m.request, instructions);
-    FedProbeReply reply;
-    reply.probes.reserve(nodes_.size());
-    for (const auto &node : nodes_) {
-        WireProbe p;
-        p.node = node->id();
-        p.alive = node->alive() ? 1 : 0;
-        if (node->alive()) {
-            const AdmissionDecision d =
-                node->probe(request, instructions);
-            p.accepted = d.accepted ? 1 : 0;
-            p.slotStart = d.slotStart;
-            p.load = node->inFlight();
-            p.ways = node->framework()
-                         .lac()
-                         .timeline()
-                         .reservedAt(node->virtualNow())
-                         .ways;
-        }
-        reply.probes.push_back(p);
-    }
-    return reply;
-}
-
-FedMessage
-ShardController::onSubmit(const FedSubmit &m)
-{
-    InstCount instructions = 0;
-    const JobRequest request = fromWireRequest(m.request, instructions);
-    Job *job = local(m.node).submit(request, instructions);
-    FedSubmitAck ack;
-    ack.node = m.node;
-    ack.jobId = job != nullptr ? job->id() : invalidJob;
-    ack.ok = job != nullptr ? 1 : 0;
-    return ack;
-}
-
-FedMessage
-ShardController::onCrash(const FedCrash &m)
-{
-    const NodeWorker::CrashReport report = local(m.node).crash();
-    FedCrashReport r;
-    r.node = m.node;
-    r.failedRunning.reserve(report.failedRunning.size());
-    for (const JobId id : report.failedRunning)
-        r.failedRunning.push_back(static_cast<std::uint64_t>(id));
-    r.waiting.reserve(report.waiting.size());
-    for (const NodeWorker::LostJob &lost : report.waiting) {
-        WireLostJob w;
-        w.localJob = lost.localJob;
-        w.mode = static_cast<std::uint8_t>(lost.mode);
-        w.request = toWireRequest(lost.request, lost.instructions);
-        r.waiting.push_back(std::move(w));
-    }
-    return r;
-}
-
-FedMessage
-ShardController::onRestart(const FedRestart &m)
-{
-    local(m.node).restart(m.now);
-    return FedRestartAck{m.node};
 }
 
 FedMessage
 ShardController::onAdvance(const FedAdvance &m)
 {
-    if (!m.stalls.empty() && m.stalls.size() != nodes_.size())
+    if (!m.stalls.empty() && m.stalls.size() != nodes_->size())
         return FedError{"advance stall vector size mismatch"};
-
-    // Feedback controllers step on this (shard-driver) thread before
-    // the nodes advance — the same placement-then-advance ordering the
-    // single-process engine uses, and exactly once per FedAdvance, so
-    // controller-on runs stay bit-identical at any shard count.
-    for (auto &node : nodes_)
-        node->controllerStep();
-
-    pool_->parallelFor(nodes_.size(), [this, &m](std::size_t i) {
-        NodeWorker &node = *nodes_[i];
-        if (!node.alive())
-            return;
-        node.advanceTo(m.to, m.stalls.empty() ? 0 : m.stalls[i]);
-    });
-
-    // Commit barrier: every local node is quiescent. Drain telemetry
-    // into the shipping buffer and run the oracle, exactly as the
-    // single-process engine does at its quantum barrier.
-    if (collector_ != nullptr)
-        collector_->drain();
-    if (m.check != 0)
-        checkAlive();
-
-    FedQuantumDone done;
+    // Whether the oracle runs was fixed by FedInit's checkInvariants,
+    // which the coordinator mirrors into every advance's check flag.
+    nodes_->advance(m.from, m.to, m.stalls);
+    FedQuantumDone done = barrierDone<FedQuantumDone>();
     done.to = m.to;
-    done.checksRun = checker_ != nullptr ? checker_->checksRun() : 0;
-    done.violations =
-        checker_ != nullptr ? checker_->totalViolations() : 0;
+    return done;
+}
+
+template <typename Done>
+Done
+ShardController::barrierDone()
+{
+    Done done;
+    done.checksRun = nodes_->invariantChecksRun();
+    done.violations = nodes_->invariantViolations();
     if (buffer_ != nullptr)
         done.events = buffer_->take();
     done.drops = collector_ != nullptr ? collector_->totalDrops() : 0;
     return done;
-}
-
-FedMessage
-ShardController::onDrain()
-{
-    pool_->parallelFor(nodes_.size(), [this](std::size_t i) {
-        nodes_[i]->drain();
-    });
-    if (collector_ != nullptr)
-        collector_->drain();
-    if (checker_ != nullptr)
-        checkAlive();
-
-    FedDrainDone done;
-    done.checksRun = checker_ != nullptr ? checker_->checksRun() : 0;
-    done.violations =
-        checker_ != nullptr ? checker_->totalViolations() : 0;
-    if (buffer_ != nullptr)
-        done.events = buffer_->take();
-    done.drops = collector_ != nullptr ? collector_->totalDrops() : 0;
-    return done;
-}
-
-FedMessage
-ShardController::onSnapshot()
-{
-    FedSnapshotReply reply;
-    reply.nodes.reserve(nodes_.size());
-    for (const auto &node : nodes_) {
-        const NodeMetrics nm = MetricsExporter::collectNode(*node);
-        WireNodeMetrics w;
-        w.node = nm.node;
-        w.virtualTime = nm.virtualTime;
-        w.placed = nm.placed;
-        w.completed = nm.completed;
-        w.inFlight = nm.inFlight;
-        w.instructions = nm.instructions;
-        w.utilisation = nm.utilisation;
-        w.stolenWays = nm.stolenWays;
-        w.failed = nm.failed;
-        w.restarts = nm.restarts;
-        w.alive = nm.alive ? 1 : 0;
-        w.modeTallies.reserve(nm.byMode.size() * 2);
-        for (const ModeTally &tally : nm.byMode) {
-            w.modeTallies.push_back(tally.completed);
-            w.modeTallies.push_back(tally.deadlineHits);
-        }
-        w.energy = nm.energy;
-        w.controlTallies = flattenTallies(nm.control);
-        reply.nodes.push_back(std::move(w));
-    }
-    return reply;
-}
-
-FedMessage
-ShardController::onInvariant()
-{
-    FedInvariantReport report;
-    if (checker_ != nullptr) {
-        report.checksRun = checker_->checksRun();
-        report.violations = checker_->totalViolations();
-        report.report = checker_->report();
-    }
-    return report;
-}
-
-NodeWorker &
-ShardController::local(std::int32_t global)
-{
-    const std::int32_t index = global - nodeBegin_;
-    cmpqos_assert(index >= 0 &&
-                      index < static_cast<std::int32_t>(nodes_.size()),
-                  "node %d is not on shard %u", global, shardIndex_);
-    return *nodes_[static_cast<std::size_t>(index)];
-}
-
-void
-ShardController::checkAlive()
-{
-    if (checker_ == nullptr)
-        return;
-    for (const auto &node : nodes_)
-        if (node->alive())
-            checker_->checkNode(node->id(), node->framework(),
-                                node->virtualNow());
 }
 
 } // namespace cmpqos

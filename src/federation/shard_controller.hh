@@ -9,8 +9,8 @@
  *
  * Determinism: the controller is a pure command executor. It holds no
  * clock and makes no scheduling decisions — every state change is
- * ordered by the coordinator's message stream, and node advances use
- * the same ThreadPool barrier the single-process engine uses, so a
+ * ordered by the coordinator's message stream, and node commands run
+ * on the same LocalBackend the single-process engine uses, so a
  * shard's behaviour is a function of (FedInit, message sequence)
  * alone, at any local thread count.
  *
@@ -26,12 +26,9 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "cluster/node_worker.hh"
+#include "cluster/node_backend.hh"
 #include "common/annotations.hh"
-#include "common/thread_pool.hh"
-#include "fault/invariants.hh"
 #include "federation/message.hh"
 #include "federation/transport.hh"
 #include "telemetry/collector.hh"
@@ -70,7 +67,9 @@ class ShardBufferSink : public TraceSink
  * One shard's command executor. Construct, then serve() a link until
  * the coordinator shuts the shard down. All state is created by the
  * FedInit message, so the same class backs the in-process serve
- * threads and the `federation_shard` worker processes.
+ * threads and the `federation_shard` worker processes. Every node
+ * command executes on a LocalBackend over the shard's slice — the
+ * single-process engine's node code, behind a codec.
  */
 class ShardController
 {
@@ -91,17 +90,10 @@ class ShardController
     FedMessage handle(const FedMessage &msg) CMPQOS_REQUIRES(owner_);
 
     FedMessage onInit(const FedInit &m) CMPQOS_REQUIRES(owner_);
-    FedMessage onProbe(const FedProbe &m) CMPQOS_REQUIRES(owner_);
-    FedMessage onSubmit(const FedSubmit &m) CMPQOS_REQUIRES(owner_);
-    FedMessage onCrash(const FedCrash &m) CMPQOS_REQUIRES(owner_);
-    FedMessage onRestart(const FedRestart &m) CMPQOS_REQUIRES(owner_);
     FedMessage onAdvance(const FedAdvance &m) CMPQOS_REQUIRES(owner_);
-    FedMessage onDrain() CMPQOS_REQUIRES(owner_);
-    FedMessage onSnapshot() CMPQOS_REQUIRES(owner_);
-    FedMessage onInvariant() CMPQOS_REQUIRES(owner_);
-
-    NodeWorker &local(std::int32_t global) CMPQOS_REQUIRES(owner_);
-    void checkAlive() CMPQOS_REQUIRES(owner_);
+    /** A barrier reply (FedQuantumDone / FedDrainDone): cumulative
+     *  oracle totals plus the telemetry drained since the last one. */
+    template <typename Done> Done barrierDone() CMPQOS_REQUIRES(owner_);
 
     /**
      * The serve role: exactly one thread runs serve(), and every
@@ -111,14 +103,9 @@ class ShardController
      */
     OwnerRole owner_;
 
-    std::uint32_t shardIndex_ CMPQOS_GUARDED_BY(owner_) = 0;
-    std::int32_t nodeBegin_ CMPQOS_GUARDED_BY(owner_) = 0;
-    std::unique_ptr<ThreadPool> pool_ CMPQOS_GUARDED_BY(owner_);
-    std::vector<std::unique_ptr<NodeWorker>> nodes_
-        CMPQOS_GUARDED_BY(owner_);
     std::unique_ptr<TraceCollector> collector_ CMPQOS_GUARDED_BY(owner_);
     std::unique_ptr<ShardBufferSink> buffer_ CMPQOS_GUARDED_BY(owner_);
-    std::unique_ptr<InvariantChecker> checker_ CMPQOS_GUARDED_BY(owner_);
+    std::unique_ptr<LocalBackend> nodes_ CMPQOS_GUARDED_BY(owner_);
 
     /** Highest coordinator sequence executed (duplicate absorber). */
     std::uint64_t lastRxSeq_ CMPQOS_GUARDED_BY(owner_) = 0;
@@ -135,6 +122,13 @@ WireJobRequest toWireRequest(const JobRequest &request,
 /** Unpack a WireJobRequest. */
 JobRequest fromWireRequest(const WireJobRequest &w,
                            InstCount &instructions);
+
+FedCrashReport toWireCrash(NodeId node,
+                           const NodeWorker::CrashReport &report);
+NodeWorker::CrashReport fromWireCrash(const FedCrashReport &w);
+
+WireNodeMetrics toWireMetrics(const NodeMetrics &m);
+NodeMetrics fromWireMetrics(const WireNodeMetrics &w);
 
 } // namespace cmpqos
 

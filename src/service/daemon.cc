@@ -345,22 +345,16 @@ QosDaemon::engineMain()
         // Shard count, like thread count, must never affect results:
         // the drained fingerprint and the journal replay are
         // byte-identical either way (tested in test_daemon.cc).
-        ClusterMetrics m;
-        unsigned run_threads = 0;
-        if (opts_.shards > 1) {
-            FederationConfig fed;
-            fed.shards = opts_.shards;
-            fed.transport = opts_.shardTransport;
-            fed.telemetryRing = opts_.traceCapacity;
-            FederatedEngine engine(cluster, fed);
-            m = engine.runToCompletion(*queue);
-            run_threads = engine.numThreads();
-        } else {
-            ClusterEngine engine(cluster);
-            m = engine.runToCompletion(*queue);
-            run_threads = engine.numThreads();
-        }
-        collector.finish(cfg.seed, run_threads, m.wallSeconds);
+        FederationConfig fed;
+        fed.shards = opts_.shards;
+        fed.transport = opts_.shardTransport;
+        fed.telemetryRing = opts_.traceCapacity;
+        const std::unique_ptr<ClusterEngine> engine =
+            opts_.shards > 1
+                ? std::make_unique<FederatedEngine>(cluster, fed)
+                : std::make_unique<ClusterEngine>(cluster);
+        const ClusterMetrics m = engine->runToCompletion(*queue);
+        collector.finish(cfg.seed, engine->numThreads(), m.wallSeconds);
         if (m.invariantViolations != 0)
             cmpqos_warn("epoch %llu: %llu invariant violations",
                         static_cast<unsigned long long>(epoch),

@@ -2,8 +2,9 @@
 # End-to-end smoke for the federated engine: the same workload run
 # single-process, federated in-process, and federated across spawned
 # shard worker processes (UDS + --shard-bin) must produce one
-# byte-identical fingerprint; a link-fault chaos plan must stay
-# deterministic for a fixed topology with the invariant oracle green.
+# byte-identical fingerprint, drained and as a controller-on open-loop
+# run; a link-fault chaos plan must stay deterministic for a fixed
+# topology with the invariant oracle green.
 #
 # Usage: run_federation_smoke.sh <cluster_driver> <federation_shard>
 set -u
@@ -46,7 +47,25 @@ got=$("$DRIVER" $args --threads 2 --shards 4 --transport uds \
   base:          $base
   multi-process: $got"
 
-# 4. Link-fault chaos: drop/dup/delay/partition perturb admission
+# 4. Open-loop, controller on: controllers step before every advance
+#    the driver issues, so a run cut at a horizon retunes identically
+#    single-process, federated in-process and across worker processes.
+open_args="$args --threads 2 --duration 8000000 --control on"
+open_base=$("$DRIVER" $open_args | fp) || fail "open-loop baseline failed"
+[ -n "$open_base" ] || fail "open-loop baseline produced no fingerprint"
+got=$("$DRIVER" $open_args --shards 3 | fp) ||
+    fail "open-loop federated run failed"
+[ "$got" = "$open_base" ] || fail "open-loop inproc fingerprint diverged
+  base:      $open_base
+  federated: $got"
+got=$("$DRIVER" $open_args --shards 4 --transport uds \
+      --shard-bin "$SHARD_BIN" | fp) ||
+    fail "open-loop multi-process run failed"
+[ "$got" = "$open_base" ] || fail "open-loop multi-process fingerprint diverged
+  base:          $open_base
+  multi-process: $got"
+
+# 5. Link-fault chaos: drop/dup/delay/partition perturb admission
 #    traffic (fingerprint may differ from base) but the run must be
 #    deterministic for the fixed topology -- in-process threads=1 vs
 #    spawned workers threads=4 -- and the oracle must stay green.
@@ -72,4 +91,5 @@ b=$("$DRIVER" $chaos_args --threads 4 --transport uds \
   multi-process: $b"
 
 echo "federation smoke OK: single/inproc/uds/multi-process" \
-     "byte-identical; link chaos deterministic, oracle green"
+     "byte-identical, drained and open-loop with the controller on;" \
+     "link chaos deterministic, oracle green"

@@ -62,55 +62,74 @@ eventLines(const std::string &jsonl)
     return last == std::string::npos ? jsonl : jsonl.substr(0, last);
 }
 
-EngineRun
-runSingle(unsigned threads, const FaultPlan *plan = nullptr)
+/** What a run varies beyond its topology. */
+struct RunOptions
 {
+    const FaultPlan *plan = nullptr;
+    /** 0 drains the cluster (runToCompletion), else runForDuration. */
+    Cycle duration = 0;
+    bool control = false;
+    EngineObserver *observer = nullptr;
+};
+
+/** One run's config, arrival stream and JSONL telemetry capture. */
+struct RunSetup
+{
+    RunSetup(unsigned threads, const RunOptions &opt)
+        : options(opt), config(fastCluster(threads)), sink(trace),
+          collector(kNodes + 1, TelemetryConfig{})
+    {
+        config.faultPlan = opt.plan;
+        config.checkInvariants = true;
+        config.control.enabled = opt.control;
+        config.observer = opt.observer;
+        collector.addSink(&sink);
+        config.telemetry = &collector;
+    }
+
+    template <typename Engine>
+    EngineRun
+    drive(Engine &engine)
+    {
+        EngineRun run;
+        run.metrics = options.duration == 0
+                          ? engine.runToCompletion(arrivals)
+                          : engine.runForDuration(arrivals,
+                                                  options.duration);
+        collector.finish(config.seed, engine.numThreads(),
+                         run.metrics.wallSeconds);
+        run.trace = trace.str();
+        return run;
+    }
+
+    RunOptions options;
+    ClusterConfig config;
+    std::ostringstream trace;
+    JsonlTraceSink sink;
+    TraceCollector collector;
     PoissonArrivalProcess arrivals = makeArrivals();
-    ClusterConfig c = fastCluster(threads);
-    c.faultPlan = plan;
-    c.checkInvariants = true;
+};
 
-    std::ostringstream os;
-    TraceCollector collector(c.nodes + 1, TelemetryConfig{});
-    JsonlTraceSink sink(os);
-    collector.addSink(&sink);
-    c.telemetry = &collector;
-
-    ClusterEngine engine(c);
-    EngineRun run;
-    run.metrics = engine.runToCompletion(arrivals);
-    collector.finish(c.seed, engine.numThreads(),
-                     run.metrics.wallSeconds);
-    run.trace = os.str();
+EngineRun
+runSingle(unsigned threads, const RunOptions &opt = {})
+{
+    RunSetup setup(threads, opt);
+    ClusterEngine engine(setup.config);
+    EngineRun run = setup.drive(engine);
     run.violations = engine.invariantChecker()->totalViolations();
     return run;
 }
 
 EngineRun
 runFederated(int shards, unsigned threads, FedTransport transport,
-             const FaultPlan *plan = nullptr)
+             const RunOptions &opt = {})
 {
-    PoissonArrivalProcess arrivals = makeArrivals();
-    ClusterConfig c = fastCluster(threads);
-    c.faultPlan = plan;
-    c.checkInvariants = true;
-
-    std::ostringstream os;
-    TraceCollector collector(c.nodes + 1, TelemetryConfig{});
-    JsonlTraceSink sink(os);
-    collector.addSink(&sink);
-    c.telemetry = &collector;
-
+    RunSetup setup(threads, opt);
     FederationConfig fed;
     fed.shards = shards;
     fed.transport = transport;
-
-    FederatedEngine engine(c, fed);
-    EngineRun run;
-    run.metrics = engine.runToCompletion(arrivals);
-    collector.finish(c.seed, engine.numThreads(),
-                     run.metrics.wallSeconds);
-    run.trace = os.str();
+    FederatedEngine engine(setup.config, fed);
+    EngineRun run = setup.drive(engine);
     run.violations = engine.invariantViolations();
     return run;
 }
@@ -153,10 +172,10 @@ TEST(Federation, NodeFaultPlanMatchesSingleProcess)
     // crash/relocate/restart accounting crosses shard protocol paths
     // (FedCrashReport, FedRelocFail) yet lands on the same tallies.
     const FaultPlan plan = FaultPlan::random(17, kNodes, 8, 6);
-    const EngineRun base = runSingle(2, &plan);
+    const EngineRun base = runSingle(2, {.plan = &plan});
     for (int shards : {2, 4}) {
         const EngineRun r =
-            runFederated(shards, 2, FedTransport::Inproc, &plan);
+            runFederated(shards, 2, FedTransport::Inproc, {.plan = &plan});
         const std::string context =
             "plan: " + plan.summary() + " at " +
             std::to_string(shards) + " shards";
@@ -169,13 +188,95 @@ TEST(Federation, NodeFaultPlanMatchesSingleProcess)
     }
 }
 
+TEST(Federation, ControllerOnRunForDurationMatchesSingleProcess)
+{
+    // Controllers step before every advance the driver issues, and the
+    // driver never issues an empty one -- on either backend. Two
+    // horizons cover both ways an open-loop run ends: with arrivals
+    // still pending (the last barrier lands on the horizon) and after
+    // the stream ran dry (one final advance up to the horizon).
+    for (Cycle duration : {Cycle{2'000'000}, Cycle{8'000'000}}) {
+        const RunOptions opt{.duration = duration, .control = true};
+        const EngineRun base = runSingle(1, opt);
+        ASSERT_GT(base.metrics.control.retunes, 0u);
+        for (int shards : {1, 2, 4}) {
+            for (FedTransport transport :
+                 {FedTransport::Inproc, FedTransport::Uds}) {
+                const EngineRun r =
+                    runFederated(shards, 2, transport, opt);
+                const std::string context =
+                    "duration " + std::to_string(duration) + ", " +
+                    std::to_string(shards) + " shards over " +
+                    fedTransportName(transport);
+                EXPECT_EQ(r.metrics.fingerprint(),
+                          base.metrics.fingerprint())
+                    << context;
+                EXPECT_EQ(eventLines(r.trace), eventLines(base.trace))
+                    << context;
+            }
+        }
+    }
+}
+
+/** Every observer callback of a run, one line each. */
+class RecordingObserver : public EngineObserver
+{
+  public:
+    void
+    onPlacement(const ClusterArrival &arrival,
+                const PlacementOutcome &o) override
+    {
+        log << "place t=" << arrival.time << " seq=" << o.seq
+            << " accepted=" << o.accepted
+            << " negotiated=" << o.negotiated << " node=" << o.node
+            << " slot=" << o.slotStart << " factor=" << std::hexfloat
+            << o.deadlineFactor << std::defaultfloat << "\n";
+    }
+
+    void onQuantum(Cycle now) override { log << "quantum " << now << "\n"; }
+
+    std::ostringstream log;
+};
+
+TEST(Federation, ObserverSeesTheSameRunOnEitherBackend)
+{
+    // Negotiation plus a node-fault plan: every PlacementOutcome field
+    // and every onQuantum time must match between the engines.
+    FaultPlan plan;
+    std::istringstream is("crash 1 2\n"
+                          "restart 1 4\n"
+                          "probe-drop 2 1 2\n"
+                          "dup-reply 3 0 4\n"
+                          "slow-quantum 0 2 2 200000\n");
+    std::string error;
+    ASSERT_TRUE(FaultPlan::tryParse(is, plan, error)) << error;
+    RecordingObserver local;
+    const EngineRun base =
+        runSingle(2, {.plan = &plan, .observer = &local});
+    ASSERT_GT(base.metrics.negotiated, 0u);
+    ASSERT_GT(base.metrics.faults.crashes, 0u);
+    ASSERT_NE(local.log.str().find("slot="), std::string::npos);
+    for (int shards : {1, 3}) {
+        for (FedTransport transport :
+             {FedTransport::Inproc, FedTransport::Uds}) {
+            RecordingObserver federated;
+            runFederated(shards, 2, transport,
+                         {.plan = &plan, .observer = &federated});
+            EXPECT_EQ(federated.log.str(), local.log.str())
+                << shards << " shards over "
+                << fedTransportName(transport);
+        }
+    }
+}
+
 TEST(Federation, EmptyPlanPerturbsNothing)
 {
     // Wiring a present-but-empty plan through the injector seams must
     // leave fingerprints untouched and every link tally at zero.
     const FaultPlan empty;
     const EngineRun base = runSingle(1);
-    const EngineRun r = runFederated(2, 2, FedTransport::Uds, &empty);
+    const EngineRun r =
+        runFederated(2, 2, FedTransport::Uds, {.plan = &empty});
     EXPECT_EQ(r.metrics.fingerprint(), base.metrics.fingerprint());
     EXPECT_EQ(eventLines(r.trace), eventLines(base.trace));
     EXPECT_EQ(r.metrics.faults.linkDrops, 0u);
@@ -199,9 +300,10 @@ TEST_P(FederationChaosSeeds, LinkChaosDeterministicForFixedTopology)
     const int shards = 2;
     const FaultPlan plan =
         FaultPlan::randomFederated(GetParam(), kNodes, shards, 8, 8);
-    const EngineRun r1 = runFederated(shards, 1, FedTransport::Inproc,
-                                &plan);
-    const EngineRun r4 = runFederated(shards, 4, FedTransport::Uds, &plan);
+    const EngineRun r1 =
+        runFederated(shards, 1, FedTransport::Inproc, {.plan = &plan});
+    const EngineRun r4 =
+        runFederated(shards, 4, FedTransport::Uds, {.plan = &plan});
 
     const std::string context = "plan: " + plan.summary();
     EXPECT_EQ(r1.metrics.fingerprint(), r4.metrics.fingerprint())
@@ -232,8 +334,10 @@ TEST(Federation, PartitionHealsDeterministically)
     std::string error;
     ASSERT_TRUE(FaultPlan::tryParse(is, plan, error)) << error;
 
-    const EngineRun r1 = runFederated(2, 1, FedTransport::Inproc, &plan);
-    const EngineRun r2 = runFederated(2, 4, FedTransport::Uds, &plan);
+    const EngineRun r1 =
+        runFederated(2, 1, FedTransport::Inproc, {.plan = &plan});
+    const EngineRun r2 =
+        runFederated(2, 4, FedTransport::Uds, {.plan = &plan});
     EXPECT_EQ(r1.metrics.fingerprint(), r2.metrics.fingerprint());
     EXPECT_EQ(eventLines(r1.trace), eventLines(r2.trace));
     EXPECT_EQ(r1.violations, 0u);

@@ -248,32 +248,24 @@ main(int argc, char **argv)
     }
 
     if (!fault_plan_path.empty()) {
+        // Parsed here; the engine validates it against its topology.
         fault_plan = FaultPlan::parseFile(fault_plan_path);
-        fault_plan.validate(config.nodes,
-                            federated ? federation.shards : 0);
         config.faultPlan = &fault_plan;
     }
 
     // Shard-side telemetry rings mirror the hub's capacity so drop
     // behaviour matches the single-process engine.
     federation.telemetryRing = telemetry_config.ringCapacity;
-    std::unique_ptr<ClusterEngine> engine;
-    std::unique_ptr<FederatedEngine> fed_engine;
-    unsigned run_threads = 0;
-    if (federated) {
-        fed_engine =
-            std::make_unique<FederatedEngine>(config, federation);
-        run_threads = fed_engine->numThreads();
-    } else {
-        engine = std::make_unique<ClusterEngine>(config);
-        run_threads = engine->numThreads();
-    }
+    const std::unique_ptr<ClusterEngine> engine =
+        federated ? std::make_unique<FederatedEngine>(config, federation)
+                  : std::make_unique<ClusterEngine>(config);
     std::printf("cluster: %d nodes, %u threads, %s placement, seed %llu\n",
-                config.nodes, run_threads, gacPolicyName(config.policy),
+                config.nodes, engine->numThreads(),
+                gacPolicyName(config.policy),
                 static_cast<unsigned long long>(config.seed));
     if (federated)
         std::printf("federation: %d shards over %s transport%s%s\n",
-                    fed_engine->numShards(),
+                    engine->numShards(),
                     fedTransportName(federation.transport),
                     federation.shardBinary.empty() ? ""
                                                    : ", worker ",
@@ -284,13 +276,8 @@ main(int argc, char **argv)
                     fault_plan.summary().c_str());
 
     const ClusterMetrics m =
-        federated
-            ? (duration == 0
-                   ? fed_engine->runToCompletion(*arrivals)
-                   : fed_engine->runForDuration(*arrivals, duration))
-            : (duration == 0
-                   ? engine->runToCompletion(*arrivals)
-                   : engine->runForDuration(*arrivals, duration));
+        duration == 0 ? engine->runToCompletion(*arrivals)
+                      : engine->runForDuration(*arrivals, duration);
 
     std::printf("\n%-26s %llu\n", "jobs submitted",
                 static_cast<unsigned long long>(m.submitted));
@@ -395,7 +382,8 @@ main(int argc, char **argv)
         MetricsExporter::writeCsvFile(m, csv_path);
 
     if (collector != nullptr) {
-        collector->finish(config.seed, run_threads, m.wallSeconds);
+        collector->finish(config.seed, engine->numThreads(),
+                          m.wallSeconds);
         std::printf("%-26s %llu events (%llu dropped)\n", "trace",
                     static_cast<unsigned long long>(
                         collector->eventsDelivered()),
@@ -404,28 +392,14 @@ main(int argc, char **argv)
     }
 
     if (config.checkInvariants) {
-        std::uint64_t checks = 0;
-        std::uint64_t violations = 0;
-        std::string report;
-        if (federated) {
-            checks = fed_engine->invariantChecksRun();
-            violations = fed_engine->invariantViolations();
-            if (violations != 0)
-                report = fed_engine->invariantReport();
-        } else {
-            const InvariantChecker *checker =
-                engine->invariantChecker();
-            checks = checker->checksRun();
-            violations = checker->totalViolations();
-            if (violations != 0)
-                report = checker->report();
-        }
+        const std::uint64_t violations = engine->invariantViolations();
         std::printf("%-26s %llu checks, %llu violations\n",
                     "invariants",
-                    static_cast<unsigned long long>(checks),
+                    static_cast<unsigned long long>(
+                        engine->invariantChecksRun()),
                     static_cast<unsigned long long>(violations));
         if (violations != 0) {
-            std::printf("%s", report.c_str());
+            std::printf("%s", engine->invariantReport().c_str());
             // Reproducer: seed + plan fully replays the failure.
             std::string topology;
             if (federated)
