@@ -2,8 +2,8 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
  * partitioned-L2 access path, the duplicate tag array, the
- * stack-distance sampler, and the LAC admission test — the hot paths
- * of the simulator and framework.
+ * stack-distance sampler, generator setup, and the LAC admission test
+ * — the hot paths of the simulator and framework.
  */
 
 #include <benchmark/benchmark.h>
@@ -86,6 +86,22 @@ BM_GeneratorRun(benchmark::State &state)
     state.SetLabel("items = instructions");
 }
 BENCHMARK(BM_GeneratorRun);
+
+/** Job setup: an AccessGenerator with its warmed reuse stack. */
+void
+BM_GeneratorSetup(benchmark::State &state, const char *benchmark_name)
+{
+    const auto &b = BenchmarkRegistry::get(benchmark_name);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        AccessGenerator gen(b, ++seed, 0);
+        benchmark::DoNotOptimize(gen);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel("items = generators");
+}
+BENCHMARK_CAPTURE(BM_GeneratorSetup, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_GeneratorSetup, mcf, "mcf");
 
 void
 BM_LacAdmissionTest(benchmark::State &state)

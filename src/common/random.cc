@@ -114,6 +114,12 @@ Rng::discrete(const std::vector<double> &weights)
         cmpqos_assert(w >= 0.0, "discrete weights must be non-negative");
         total += w;
     }
+    return discrete(weights, total);
+}
+
+std::size_t
+Rng::discrete(const std::vector<double> &weights, double total)
+{
     cmpqos_assert(total > 0.0, "discrete weights must not all be zero");
     double target = uniform() * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {

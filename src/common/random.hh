@@ -60,6 +60,13 @@ class Rng
      */
     std::size_t discrete(const std::vector<double> &weights);
 
+    /**
+     * discrete() for callers that keep the weights' @p total, summed
+     * front to back as discrete() sums it: the same draw for the same
+     * state, without re-summing on every call.
+     */
+    std::size_t discrete(const std::vector<double> &weights, double total);
+
     /** @return true with probability @p p. */
     bool bernoulli(double p);
 

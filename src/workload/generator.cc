@@ -1,5 +1,7 @@
 #include "generator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace cmpqos
@@ -32,19 +34,44 @@ jobAddressBase(JobId job)
     return static_cast<Addr>(job + 1) << 34;
 }
 
+namespace
+{
+
+/**
+ * Live-block cap for a job's reuse stack. A profile built only from
+ * Uniform and Cold components never samples a distance beyond
+ * maxFiniteDistance(), and the warm-up leaves that many blocks live
+ * before the first sample, so a distance never exceeds the live count
+ * and the blocks below that depth are never touched again. The top
+ * blocks of an LRU stack do not depend on those below them, so
+ * dropping them changes no block id. A Geometric component has an
+ * unbounded tail and keeps the default cap, as does a profile deeper
+ * than it.
+ */
+std::size_t
+liveBlockCap(const StackDistanceProfile &profile)
+{
+    for (const auto &c : profile.components())
+        if (c.kind == ProfileComponent::Kind::Geometric)
+            return LruStackSampler::defaultMaxLive;
+    return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+        profile.maxFiniteDistance(), 2, LruStackSampler::defaultMaxLive));
+}
+
+} // namespace
+
 AccessGenerator::AccessGenerator(const BenchmarkProfile &profile,
                                  std::uint64_t seed, Addr address_base,
                                  TraceMode mode, unsigned block_size)
     : profile_(&profile), mode_(mode), addressBase_(address_base),
-      blockSize_(block_size), rng_(seed)
+      blockSize_(block_size), rng_(seed),
+      streamProfile_(mode == TraceMode::L2Stream
+                         ? profile.l2Profile
+                         : buildFullStreamProfile(profile)),
+      stack_(liveBlockCap(streamProfile_)),
+      rate_(mode == TraceMode::L2Stream ? profile.h2
+                                        : profile.memRefsPerInstr)
 {
-    if (mode == TraceMode::L2Stream) {
-        streamProfile_ = profile.l2Profile;
-        rate_ = profile.h2;
-    } else {
-        streamProfile_ = buildFullStreamProfile(profile);
-        rate_ = profile.memRefsPerInstr;
-    }
     cmpqos_assert(rate_ > 0.0, "access rate must be positive");
 
     // Pre-populate the reuse stack with the benchmark's standing
@@ -55,9 +82,7 @@ AccessGenerator::AccessGenerator(const BenchmarkProfile &profile,
     // artificially long start-up phase. (The *cache* still starts
     // cold — first touches miss — which is the physical warm-up the
     // wall-clock model accounts for.)
-    const std::uint64_t warm = streamProfile_.maxFiniteDistance();
-    for (std::uint64_t i = 0; i < warm; ++i)
-        stack_.accessNew();
+    stack_.accessNewBlocks(streamProfile_.maxFiniteDistance());
 }
 
 } // namespace cmpqos

@@ -81,6 +81,14 @@ class AccessGenerator
      * pre-fill a cache so steady-state miss rates are not polluted by
      * first-touch misses (real jobs pay those once; the framework's
      * wall-clock model carries a warm-up allowance for them).
+     *
+     * Right after construction the standing set is exactly the
+     * profile's maxFiniteDistance() warmed blocks, and that is when
+     * every caller visits it. Later it holds the blocks the reuse
+     * stack still tracks: for a profile without a Geometric component
+     * the stack is capped at maxFiniteDistance() blocks (the deepest
+     * distance the profile can ask for), so only that many most
+     * recently used blocks; otherwise up to 2^17.
      */
     template <typename F>
     void
@@ -113,8 +121,9 @@ class AccessGenerator
     Addr addressBase_;
     unsigned blockSize_;
     Rng rng_;
-    LruStackSampler stack_;
+    /** Declared before stack_, whose cap is read from it. */
     StackDistanceProfile streamProfile_;
+    LruStackSampler stack_;
     double rate_;
     double accum_ = 0.0;
     std::uint64_t emitted_ = 0;

@@ -117,7 +117,7 @@ StackDistanceProfile::StackDistanceProfile(
 std::optional<std::uint64_t>
 StackDistanceProfile::sample(Rng &rng) const
 {
-    const std::size_t idx = rng.discrete(weights_);
+    const std::size_t idx = rng.discrete(weights_, totalWeight_);
     const ProfileComponent &c = components_[idx];
     switch (c.kind) {
       case ProfileComponent::Kind::Cold:

@@ -130,6 +130,7 @@ class StackDistanceProfile
   private:
     std::vector<ProfileComponent> components_;
     std::vector<double> weights_;
+    /** Sum of weights_, front to back as Rng::discrete() sums them. */
     double totalWeight_ = 0.0;
 };
 

@@ -12,14 +12,20 @@
  * exactly where it matters, while exercising the real cache models.
  *
  * Implementation: live blocks occupy slots of a timestamp-ordered
- * array; a Fenwick tree counts occupied slots so "the d-th
- * most-recently-used block" is an order-statistics query. Slots are
- * compacted when the timestamp space is exhausted.
+ * array, and a bitmap marks the occupied slots, 64 to a word. A
+ * Fenwick tree over the words' popcounts finds the word holding the
+ * k-th occupied slot, and a broadword select finds the slot inside
+ * it, so "the d-th most-recently-used block" is an order-statistics
+ * query. Storage follows the live set rather than the cap: when the
+ * slots run out, the live ones are compacted to the bottom in order,
+ * and the slot space doubles if that leaves it more than half full
+ * (up to 4x the cap).
  */
 
 #ifndef CMPQOS_WORKLOAD_STACK_SAMPLER_HH
 #define CMPQOS_WORKLOAD_STACK_SAMPLER_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -40,12 +46,18 @@ class LruStackSampler
 {
   public:
     /**
-     * @param max_live_blocks cap on tracked blocks; beyond this the
-     *        LRU block is dropped from the stack. Choose larger than
-     *        any cache capacity of interest (default 2^17 blocks =
-     *        8MB of 64B blocks, 4x the paper's L2).
+     * Default live-block cap: 2^17 blocks, which cover 8MB of data in
+     * 64B blocks, 4x the paper's L2.
      */
-    explicit LruStackSampler(std::size_t max_live_blocks = 1u << 17);
+    static constexpr std::size_t defaultMaxLive = std::size_t{1} << 17;
+
+    /**
+     * @param max_live_blocks cap on tracked blocks; beyond this the
+     *        LRU block is dropped from the stack. Choose at least the
+     *        largest stack distance of interest. Memory follows the
+     *        blocks actually live (8 to 32 bytes each), not this cap.
+     */
+    explicit LruStackSampler(std::size_t max_live_blocks = defaultMaxLive);
 
     /**
      * Access the block at stack distance @p d (1 = most recently
@@ -58,6 +70,13 @@ class LruStackSampler
 
     /** Touch a brand-new (cold) block. @return its block id. */
     std::uint64_t accessNew();
+
+    /**
+     * Touch @p count brand-new blocks, leaving the state that many
+     * accessNew() calls would, in O(count / 64) plus one write per
+     * block kept.
+     */
+    void accessNewBlocks(std::uint64_t count);
 
     /** Number of live blocks in the stack. */
     std::size_t liveBlocks() const { return liveCount_; }
@@ -80,11 +99,11 @@ class LruStackSampler
     void
     forEachLive(F &&visit) const
     {
-        for (std::int64_t k = 1;
-             k <= static_cast<std::int64_t>(liveCount_); ++k) {
-            const std::size_t slot =
-                static_cast<std::size_t>(occupied_.findKth(k));
-            visit(slotBlock_[slot]);
+        for (std::size_t w = 0; w < occupied_.size(); ++w) {
+            for (std::uint64_t bits = occupied_[w]; bits != 0;
+                 bits &= bits - 1)
+                visit(slotBlock_[w * 64 + static_cast<std::size_t>(
+                                              std::countr_zero(bits))]);
         }
     }
 
@@ -92,24 +111,42 @@ class LruStackSampler
     /** Place @p block at the top of the stack. */
     void pushTop(std::uint64_t block);
 
+    /** Clear occupied slot @p slot. */
+    void vacate(std::size_t slot);
+
     /** Remove the LRU block from the stack entirely. */
     void dropLru();
 
-    /** Renumber live slots densely when positions run out. */
+    /** Slot holding the @p rank-th occupied slot from the bottom. */
+    std::size_t slotOfRank(std::uint64_t rank) const;
+
+    /**
+     * Make room for @p count pushes past the live slots: compact, then
+     * grow the slot space if it would be more than half full.
+     */
+    void makeRoom(std::size_t count);
+
+    /** Renumber occupied slots densely from 0, keeping their order. */
     void compact();
 
+    /** Rebuild wordCounts_ from the bitmap. */
+    void recount();
+
+    /** Mark slots [from, to) occupied in the bitmap. */
+    void occupy(std::size_t from, std::size_t to);
+
     std::size_t maxLive_;
-    std::size_t slotCapacity_;
-    FenwickTree occupied_;
+    /** Bit s % 64 of word s / 64 is set while slot s holds a block. */
+    std::vector<std::uint64_t> occupied_;
+    /** Popcount of each occupied_ word. */
+    FenwickTree wordCounts_;
     /** slot -> block id (valid where occupied). */
     std::vector<std::uint64_t> slotBlock_;
-    /** block id -> slot (dense vector; kMaxSlot = not live). */
-    std::vector<std::uint64_t> blockSlot_;
     std::size_t nextSlot_ = 0;
+    /** Every occupied_ word below this one is empty. */
+    std::size_t lruWord_ = 0;
     std::size_t liveCount_ = 0;
     std::uint64_t nextBlockId_ = 0;
-
-    static constexpr std::uint64_t noSlot = ~0ULL;
 };
 
 } // namespace cmpqos

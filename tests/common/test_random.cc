@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/random.hh"
 
@@ -117,6 +118,51 @@ TEST(Rng, DiscreteRespectsWeights)
     EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
     EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
     EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.02);
+}
+
+/**
+ * Rng::discrete as it was before callers could pass the total in: it
+ * re-sums the weights on every draw. Kept as the reference.
+ */
+std::size_t
+resummingDiscrete(Rng &rng, const std::vector<double> &weights)
+{
+    double total = 0.0;
+    for (double w : weights)
+        total += w;
+    double target = rng.uniform() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        target -= weights[i];
+        if (target < 0.0)
+            return i;
+    }
+    return weights.size() - 1;
+}
+
+TEST(Rng, DiscreteWithTotalMatchesResumming)
+{
+    Rng gen(23);
+    Rng with_total(29), summing(29), reference(29);
+    std::vector<double> w;
+    double total = 0.0;
+    for (int i = 0; i < 1'000'000; ++i) {
+        if (i % 1000 == 0) {
+            // Fresh weights over several magnitudes, some of them zero.
+            w.assign(1 + gen.uniformInt(6), 0.0);
+            for (double &x : w)
+                x = gen.bernoulli(0.15)
+                        ? 0.0
+                        : gen.uniform() *
+                              std::pow(10.0, gen.uniformRange(-3, 3));
+            w[gen.uniformInt(w.size())] += 0.5;
+            total = 0.0;
+            for (double x : w)
+                total += x;
+        }
+        const std::size_t expect = resummingDiscrete(reference, w);
+        ASSERT_EQ(with_total.discrete(w, total), expect) << "draw " << i;
+        ASSERT_EQ(summing.discrete(w), expect) << "draw " << i;
+    }
 }
 
 TEST(Rng, BernoulliProbability)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/benchmark.hh"
 
 namespace cmpqos
@@ -56,6 +58,15 @@ struct Table1Row
     double missRate;
     double mpi;
 };
+
+/** Print the row by name: the default byte dump shows the name
+ *  pointer, which moves with ASLR and so renames the ctest case on
+ *  every build. */
+void
+PrintTo(const Table1Row &row, std::ostream *os)
+{
+    *os << row.name;
+}
 
 class Table1Calibration : public ::testing::TestWithParam<Table1Row>
 {
