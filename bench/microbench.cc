@@ -1,13 +1,15 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
- * partitioned-L2 access path, the duplicate tag array, the
- * stack-distance sampler, generator setup, and the LAC admission test
- * — the hot paths of the simulator and framework.
+ * partitioned-L2 access path (steady and under job churn), the L1,
+ * the duplicate tag array, the stack-distance sampler, generator
+ * setup, and the LAC admission test — the hot paths of the simulator
+ * and framework.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "cache/cache.hh"
 #include "cache/duplicate_tags.hh"
 #include "cache/partitioned_cache.hh"
 #include "common/random.hh"
@@ -40,6 +42,74 @@ BENCHMARK(BM_PartitionedCacheAccess)
     ->Arg(static_cast<int>(PartitionScheme::None))
     ->Arg(static_cast<int>(PartitionScheme::Global))
     ->Arg(static_cast<int>(PartitionScheme::PerSet));
+
+/**
+ * Job churn on a 4-core L2: two Reserved and two Opportunistic cores
+ * take turns, each over a hot and a cold range of its own. Every 50k
+ * accesses the idle core restarts and the next one is released (its
+ * blocks become orphans), and the two reservations trade ways (the
+ * shrunk one is over target), so every victim rule of the scheme runs.
+ */
+void
+BM_PartitionedCacheChurn(benchmark::State &state)
+{
+    PartitionedCache l2(CacheConfig::l2Default(), 4,
+                        static_cast<PartitionScheme>(state.range(0)));
+    const unsigned targets[2][2] = {{7, 5}, {4, 8}};
+    auto start = [&](CoreId core, unsigned phase) {
+        if (core < 2) {
+            l2.setTargetWays(core, targets[phase][core]);
+            l2.setCoreClass(core, CoreClass::Reserved);
+        } else {
+            l2.setCoreClass(core, CoreClass::Opportunistic);
+        }
+    };
+    for (CoreId c = 1; c < 4; ++c) // core 0 starts idle
+        start(c, 0);
+    Rng rng(4);
+    std::uint64_t sink = 0;
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        if (++n % 50'000 == 0) {
+            const std::uint64_t k = n / 50'000;
+            const auto phase = static_cast<unsigned>(k % 2);
+            // Shrink one reservation before growing the other, so
+            // the reserved sum stays within the associativity.
+            const CoreId shrink = phase == 0 ? 1 : 0;
+            for (CoreId c : {shrink, 1 - shrink})
+                if (l2.coreClass(c) == CoreClass::Reserved)
+                    l2.setTargetWays(c, targets[phase][c]);
+            start(static_cast<CoreId>((k - 1) % 4), phase);
+            l2.releaseCore(static_cast<CoreId>(k % 4));
+        }
+        const auto core = static_cast<CoreId>(n % 4);
+        const std::uint64_t r = rng.next();
+        const Addr block = (r & 1) ? (r >> 8) & 0xfff : (r >> 8) & 0xffff;
+        const Addr addr = (static_cast<Addr>(core) << 32) | (block << 6);
+        sink += l2.access(core, addr, (r & 6) == 0).hit;
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PartitionedCacheChurn)
+    ->Arg(static_cast<int>(PartitionScheme::Global))
+    ->Arg(static_cast<int>(PartitionScheme::PerSet));
+
+/** The private L1: a 64 KiB stream of loads and stores. */
+void
+BM_SetAssocCacheAccess(benchmark::State &state)
+{
+    SetAssocCache l1(CacheConfig::l1Default());
+    Rng rng(5);
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        const std::uint64_t r = rng.next();
+        sink += l1.access(((r >> 8) & 0x3ff) << 6, (r & 3) == 0).hit;
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SetAssocCacheAccess);
 
 void
 BM_DuplicateTagObserve(benchmark::State &state)

@@ -1,106 +1,54 @@
 #include "cache.hh"
 
-#include "common/logging.hh"
 #include "common/units.hh"
 
 namespace cmpqos
 {
 
-SetAssocCache::SetAssocCache(const CacheConfig &config) : config_(config)
+SetAssocCache::SetAssocCache(const CacheConfig &config)
+    : config_(config.validate()),
+      blockShift_(floorLog2(config_.blockSize)),
+      setMask_(config_.numSets() - 1),
+      tags_(config_.numSets(), config_.assoc, 1)
 {
-    config_.validate();
-    blockShift_ = floorLog2(config_.blockSize);
-    setMask_ = config_.numSets() - 1;
-    blocks_.resize(config_.numBlocks());
-}
-
-int
-SetAssocCache::findWay(std::uint64_t set, Addr block_addr) const
-{
-    const CacheBlock *base = setBase(set);
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].blockAddr == block_addr)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-SetAssocCache::victimWay(std::uint64_t set) const
-{
-    const CacheBlock *base = setBase(set);
-    unsigned victim = 0;
-    std::uint64_t best = ~0ULL;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid)
-            return w;
-        if (base[w].lruStamp < best) {
-            best = base[w].lruStamp;
-            victim = w;
-        }
-    }
-    return victim;
 }
 
 AccessResult
 SetAssocCache::access(Addr addr, bool is_write)
 {
     ++accesses_;
-    const Addr block_addr = blockAddrOf(addr);
-    const std::uint64_t set = setIndexOf(block_addr);
-    CacheBlock *base = setBase(set);
+    const Addr block_addr = addr >> blockShift_;
+    const std::uint64_t set = block_addr & setMask_;
 
     AccessResult result;
-    int way = findWay(set, block_addr);
+    const int way = tags_.find(set, block_addr);
     if (way >= 0) {
         result.hit = true;
-        base[way].lruStamp = nextStamp();
-        if (is_write)
-            base[way].dirty = true;
+        tags_.touch(set, static_cast<unsigned>(way), is_write);
         return result;
     }
 
     ++misses_;
-    const unsigned victim = victimWay(set);
-    CacheBlock &blk = base[victim];
-    if (blk.valid) {
-        result.evicted = true;
-        result.victimAddr = blk.blockAddr;
-        if (blk.dirty) {
-            result.writeback = true;
-            ++writebacks_;
-        }
-    }
-    blk.blockAddr = block_addr;
-    blk.valid = true;
-    blk.dirty = is_write;
-    blk.lruStamp = nextStamp();
+    tags_.fill(set, tags_.lruVictim(set), block_addr, 0, is_write, result);
+    writebacks_ += result.writeback;
     return result;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const Addr block_addr = blockAddrOf(addr);
-    return findWay(setIndexOf(block_addr), block_addr) >= 0;
+    const Addr block_addr = addr >> blockShift_;
+    return tags_.find(block_addr & setMask_, block_addr) >= 0;
 }
 
 void
 SetAssocCache::invalidate(Addr addr)
 {
-    const Addr block_addr = blockAddrOf(addr);
-    const std::uint64_t set = setIndexOf(block_addr);
-    int way = findWay(set, block_addr);
+    const Addr block_addr = addr >> blockShift_;
+    const std::uint64_t set = block_addr & setMask_;
+    const int way = tags_.find(set, block_addr);
     if (way >= 0)
-        setBase(set)[way].invalidate();
-}
-
-void
-SetAssocCache::flush()
-{
-    for (auto &blk : blocks_)
-        blk.invalidate();
-    stampCounter_ = 0;
+        tags_.invalidate(set, static_cast<unsigned>(way));
 }
 
 double
@@ -112,19 +60,12 @@ SetAssocCache::missRate() const
                      static_cast<double>(accesses_);
 }
 
-void
-SetAssocCache::resetStats()
-{
-    accesses_ = misses_ = writebacks_ = 0;
-}
-
 std::uint64_t
 SetAssocCache::validBlocks() const
 {
     std::uint64_t n = 0;
-    for (const auto &blk : blocks_)
-        if (blk.valid)
-            ++n;
+    for (std::uint64_t s = 0; s <= setMask_; ++s)
+        n += tags_.occupancy(s);
     return n;
 }
 

@@ -2,33 +2,20 @@
  * @file
  * A plain set-associative cache with LRU replacement and write-back /
  * write-allocate policy. Used for the private L1 instruction and data
- * caches (Section 6) and as the base functional model that the
- * partitioned L2 extends.
+ * caches (Section 6).
  */
 
 #ifndef CMPQOS_CACHE_CACHE_HH
 #define CMPQOS_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "cache/block.hh"
 #include "cache/config.hh"
+#include "cache/tag_store.hh"
 #include "common/types.hh"
 
 namespace cmpqos
 {
-
-/** Outcome of a single cache access. */
-struct AccessResult
-{
-    bool hit = false;
-    /** A dirty block was evicted and must be written back. */
-    bool writeback = false;
-    /** Block address of the evicted victim (valid iff evicted). */
-    Addr victimAddr = 0;
-    bool evicted = false;
-};
 
 /**
  * Functional set-associative cache. Timing is not modelled here; the
@@ -38,7 +25,6 @@ class SetAssocCache
 {
   public:
     explicit SetAssocCache(const CacheConfig &config);
-    virtual ~SetAssocCache() = default;
 
     /**
      * Access one block. On a miss the block is allocated
@@ -57,7 +43,7 @@ class SetAssocCache
     void invalidate(Addr addr);
 
     /** Invalidate the entire cache and reset recency state. */
-    void flush();
+    void flush() { tags_.clear(); }
 
     const CacheConfig &config() const { return config_; }
 
@@ -68,50 +54,20 @@ class SetAssocCache
     double missRate() const;
 
     /** Reset statistics without touching cache contents. */
-    void resetStats();
+    void resetStats() { accesses_ = misses_ = writebacks_ = 0; }
 
-    /** Number of currently valid blocks (O(blocks); for tests). */
+    /** Number of currently valid blocks (O(sets); for tests). */
     std::uint64_t validBlocks() const;
 
-  protected:
-    /** Map a byte address to its block address. */
-    Addr blockAddrOf(Addr addr) const { return addr >> blockShift_; }
-
-    /** Map a block address to its set index. */
-    std::uint64_t setIndexOf(Addr block_addr) const
-    {
-        return block_addr & setMask_;
-    }
-
-    /** Access to the ways of one set. */
-    CacheBlock *setBase(std::uint64_t set)
-    {
-        return &blocks_[set * config_.assoc];
-    }
-    const CacheBlock *setBase(std::uint64_t set) const
-    {
-        return &blocks_[set * config_.assoc];
-    }
-
-    /** Advance and return the global recency stamp. */
-    std::uint64_t nextStamp() { return ++stampCounter_; }
-
+  private:
     CacheConfig config_;
     unsigned blockShift_;
     std::uint64_t setMask_;
-    std::vector<CacheBlock> blocks_;
-    std::uint64_t stampCounter_ = 0;
+    TagStore tags_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;
-
-  private:
-    /** Find the way holding @p block_addr in @p set, or -1. */
-    int findWay(std::uint64_t set, Addr block_addr) const;
-
-    /** Choose a victim way in @p set: invalid first, else LRU. */
-    unsigned victimWay(std::uint64_t set) const;
 };
 
 } // namespace cmpqos

@@ -1,11 +1,12 @@
 #include "config.hh"
 
+#include "cache/tag_store.hh"
 #include "common/logging.hh"
 
 namespace cmpqos
 {
 
-void
+const CacheConfig &
 CacheConfig::validate() const
 {
     if (!isPowerOfTwo(blockSize))
@@ -13,6 +14,9 @@ CacheConfig::validate() const
                      blockSize);
     if (assoc == 0)
         cmpqos_fatal("%s: associativity must be positive", name.c_str());
+    if (assoc > maxWays)
+        cmpqos_fatal("%s: associativity %u exceeds the %u-way limit",
+                     name.c_str(), assoc, maxWays);
     if (sizeBytes % (static_cast<std::uint64_t>(assoc) * blockSize) != 0)
         cmpqos_fatal("%s: size %llu not divisible by assoc*blockSize",
                      name.c_str(),
@@ -21,6 +25,7 @@ CacheConfig::validate() const
         cmpqos_fatal("%s: number of sets %llu not a power of two",
                      name.c_str(),
                      static_cast<unsigned long long>(numSets()));
+    return *this;
 }
 
 CacheConfig

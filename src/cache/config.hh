@@ -51,8 +51,12 @@ struct CacheConfig
         return sizeBytes / assoc;
     }
 
-    /** Validate geometry; calls fatal() on bad configuration. */
-    void validate() const;
+    /**
+     * Validate geometry; calls fatal() on bad configuration, including
+     * an associativity wider than a way mask (maxWays).
+     * @return this configuration, so constructors can validate inline
+     */
+    const CacheConfig &validate() const;
 
     /** The paper's private L1 configuration. */
     static CacheConfig l1Default();

@@ -6,20 +6,32 @@
 namespace cmpqos
 {
 
+namespace
+{
+
+/** The shadow geometry, checked before anything is sized from it. */
+std::uint64_t
+sampledSetsOf(const CacheConfig &l2, unsigned ways, unsigned period)
+{
+    l2.validate();
+    cmpqos_assert(ways > 0 && ways <= l2.assoc,
+                  "baseline ways %u out of range", ways);
+    cmpqos_assert(period > 0, "sample period must be positive");
+    return (l2.numSets() + period - 1) / period;
+}
+
+} // namespace
+
 DuplicateTagArray::DuplicateTagArray(const CacheConfig &l2_config,
                                      unsigned baseline_ways,
                                      unsigned sample_period)
     : l2Config_(l2_config), baselineWays_(baseline_ways),
-      samplePeriod_(sample_period)
+      samplePeriod_(sample_period),
+      sampledSets_(sampledSetsOf(l2_config, baseline_ways, sample_period)),
+      blockShift_(floorLog2(l2Config_.blockSize)),
+      setMask_(l2Config_.numSets() - 1),
+      shadow_(sampledSets_, baselineWays_, 1)
 {
-    l2Config_.validate();
-    cmpqos_assert(baseline_ways > 0 && baseline_ways <= l2_config.assoc,
-                  "baseline ways %u out of range", baseline_ways);
-    cmpqos_assert(sample_period > 0, "sample period must be positive");
-    blockShift_ = floorLog2(l2Config_.blockSize);
-    setMask_ = l2Config_.numSets() - 1;
-    sampledSets_ = (l2Config_.numSets() + samplePeriod_ - 1) / samplePeriod_;
-    shadow_.resize(sampledSets_ * baselineWays_);
 }
 
 bool
@@ -34,34 +46,17 @@ DuplicateTagArray::observe(Addr addr, bool main_hit)
     if (!main_hit)
         ++mainMisses_;
 
+    // Plain LRU within the shadow partition.
     const std::uint64_t shadow_set = set / samplePeriod_;
-    CacheBlock *base = &shadow_[shadow_set * baselineWays_];
-
-    // Lookup in the shadow partition.
-    for (unsigned w = 0; w < baselineWays_; ++w) {
-        if (base[w].valid && base[w].blockAddr == block_addr) {
-            base[w].lruStamp = ++stampCounter_;
-            return true;
-        }
+    const int way = shadow_.find(shadow_set, block_addr);
+    if (way >= 0) {
+        shadow_.touch(shadow_set, static_cast<unsigned>(way), false);
+        return true;
     }
-
-    // Shadow miss: fill with LRU replacement within the partition.
     ++shadowMisses_;
-    unsigned victim = 0;
-    std::uint64_t best = ~0ULL;
-    for (unsigned w = 0; w < baselineWays_; ++w) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].lruStamp < best) {
-            best = base[w].lruStamp;
-            victim = w;
-        }
-    }
-    base[victim].blockAddr = block_addr;
-    base[victim].valid = true;
-    base[victim].lruStamp = ++stampCounter_;
+    AccessResult displaced;
+    shadow_.fill(shadow_set, shadow_.lruVictim(shadow_set), block_addr, 0,
+                 false, displaced);
     return true;
 }
 
@@ -84,9 +79,7 @@ DuplicateTagArray::exceedsSlack(double slack_fraction) const
 void
 DuplicateTagArray::reset()
 {
-    for (auto &blk : shadow_)
-        blk.invalidate();
-    stampCounter_ = 0;
+    shadow_.clear();
     sampledAccesses_ = 0;
     mainMisses_ = 0;
     shadowMisses_ = 0;

@@ -20,10 +20,9 @@
 #define CMPQOS_CACHE_DUPLICATE_TAGS_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "cache/block.hh"
 #include "cache/config.hh"
+#include "cache/tag_store.hh"
 #include "common/types.hh"
 
 namespace cmpqos
@@ -102,12 +101,11 @@ class DuplicateTagArray
     CacheConfig l2Config_;
     unsigned baselineWays_;
     unsigned samplePeriod_;
+    std::uint64_t sampledSets_;
     unsigned blockShift_;
     std::uint64_t setMask_;
-    std::uint64_t sampledSets_;
 
-    std::vector<CacheBlock> shadow_;
-    std::uint64_t stampCounter_ = 0;
+    TagStore shadow_;
 
     std::uint64_t sampledAccesses_ = 0;
     std::uint64_t mainMisses_ = 0;

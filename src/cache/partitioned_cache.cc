@@ -10,18 +10,25 @@ namespace cmpqos
 
 PartitionedCache::PartitionedCache(const CacheConfig &config, int num_cores,
                                    PartitionScheme scheme)
-    : config_(config), numCores_(num_cores), scheme_(scheme),
-      alloc_(num_cores, config.assoc)
+    : config_(config.validate()), numCores_(num_cores), scheme_(scheme),
+      alloc_(num_cores, config.assoc),
+      classes_(static_cast<std::size_t>(num_cores), CoreClass::Inactive),
+      targets_(static_cast<std::size_t>(num_cores), 0),
+      poolWays_(alloc_.poolWays()),
+      blockShift_(floorLog2(config_.blockSize)),
+      setMask_(config_.numSets() - 1),
+      tags_(config_.numSets(), config_.assoc, num_cores),
+      gcounts_(static_cast<std::size_t>(num_cores), 0),
+      stats_(static_cast<std::size_t>(num_cores))
 {
-    config_.validate();
-    cmpqos_assert(num_cores > 0, "need at least one core");
-    blockShift_ = floorLog2(config_.blockSize);
-    setMask_ = config_.numSets() - 1;
-    blocks_.resize(config_.numBlocks());
-    counts_.assign(config_.numSets() * static_cast<std::uint64_t>(numCores_),
-                   0);
-    gcounts_.assign(static_cast<std::size_t>(numCores_), 0);
-    stats_.resize(static_cast<std::size_t>(numCores_));
+}
+
+void
+PartitionedCache::syncCore(CoreId core)
+{
+    classes_[static_cast<std::size_t>(core)] = alloc_.coreClass(core);
+    targets_[static_cast<std::size_t>(core)] = alloc_.target(core);
+    poolWays_ = alloc_.poolWays();
 }
 
 void
@@ -29,6 +36,7 @@ PartitionedCache::setTargetWays(CoreId core, unsigned ways)
 {
     const unsigned old = alloc_.target(core);
     alloc_.setTarget(core, ways);
+    syncCore(core);
     if (trace_ != nullptr && trace_->active() && ways != old) {
         TraceEvent e = traceEvent(TraceEventType::Repartition,
                                   traceClock_ ? *traceClock_ : 0);
@@ -43,230 +51,134 @@ void
 PartitionedCache::setCoreClass(CoreId core, CoreClass cls)
 {
     alloc_.setCoreClass(core, cls);
+    syncCore(core);
 }
 
 void
 PartitionedCache::releaseCore(CoreId core)
 {
     alloc_.release(core);
+    syncCore(core);
 }
 
-int
-PartitionedCache::findWay(std::uint64_t set, Addr block_addr) const
+unsigned
+PartitionedCache::selectVictimPerSet(std::uint64_t set, CoreId core) const
 {
-    const CacheBlock *base = setBase(set);
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].blockAddr == block_addr)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-template <typename Pred>
-int
-PartitionedCache::lruAmong(std::uint64_t set, Pred pred) const
-{
-    const CacheBlock *base = setBase(set);
-    int victim = -1;
-    std::uint64_t best = ~0ULL;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid)
-            continue;
-        if (!pred(base[w]))
-            continue;
-        if (base[w].lruStamp < best) {
-            best = base[w].lruStamp;
-            victim = static_cast<int>(w);
+    // One pass over the cores sorts the set's ways into the rule
+    // classes: orphans (inactive owners), over-target Reserved blocks
+    // of other cores, and the opportunistic pool.
+    WayMask held = 0, orphans = 0, over = 0, pool = 0;
+    unsigned pool_count = 0;
+    for (int c = 0; c < numCores_; ++c) {
+        const WayMask ways = tags_.owned(set, c);
+        held |= ways;
+        switch (classes_[static_cast<std::size_t>(c)]) {
+          case CoreClass::Inactive:
+            orphans |= ways;
+            break;
+          case CoreClass::Reserved:
+            if (c != core &&
+                tags_.count(set, c) > targets_[static_cast<std::size_t>(c)])
+                over |= ways;
+            break;
+          case CoreClass::Opportunistic:
+            pool |= ways;
+            pool_count += tags_.count(set, c);
+            break;
         }
     }
-    return victim;
-}
-
-unsigned
-PartitionedCache::poolCount(std::uint64_t set) const
-{
-    unsigned n = 0;
-    for (int c = 0; c < numCores_; ++c)
-        if (alloc_.coreClass(c) == CoreClass::Opportunistic)
-            n += countOf(set, c);
-    return n;
-}
-
-unsigned
-PartitionedCache::selectVictimPerSet(std::uint64_t set, CoreId core)
-{
-    const CoreClass cls = alloc_.coreClass(core);
-    const bool requester_pooled = cls != CoreClass::Reserved;
-    const unsigned own_count =
-        requester_pooled ? poolCount(set) : countOf(set, core);
+    const WayMask empty = tags_.allWays() & ~held;
+    const bool pooled =
+        classes_[static_cast<std::size_t>(core)] != CoreClass::Reserved;
+    const unsigned own_count = pooled ? pool_count : tags_.count(set, core);
     const unsigned own_target =
-        requester_pooled ? alloc_.poolWays() : alloc_.target(core);
+        pooled ? poolWays_ : targets_[static_cast<std::size_t>(core)];
 
-    int victim = -1;
     if (own_count < own_target) {
-        // Under target: claim free capacity first — invalid ways,
-        // then blocks abandoned by inactive cores (orphans).
-        const CacheBlock *base = setBase(set);
-        for (unsigned w = 0; w < config_.assoc; ++w)
-            if (!base[w].valid)
-                return w;
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return alloc_.coreClass(b.owner) == CoreClass::Inactive;
-        });
-        if (victim >= 0)
-            return static_cast<unsigned>(victim);
-
-        // Then take from an over-allocated entity. Prefer
-        // over-allocated Reserved cores (accelerates convergence of
-        // Strict/Elastic partitions and frees stolen ways fastest).
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return alloc_.coreClass(b.owner) == CoreClass::Reserved &&
-                   b.owner != core &&
-                   countOf(set, b.owner) > alloc_.target(b.owner);
-        });
-        if (victim >= 0)
-            return static_cast<unsigned>(victim);
-
-        // Then the opportunistic pool, if it is over its budget or if
-        // the requester is itself reserved (the pool yields to
-        // reservations unconditionally).
-        const bool pool_yields =
-            !requester_pooled || poolCount(set) > alloc_.poolWays();
-        if (pool_yields) {
-            victim = lruAmong(set, [&](const CacheBlock &b) {
-                return alloc_.coreClass(b.owner) ==
-                       CoreClass::Opportunistic;
-            });
-            if (victim >= 0)
-                return static_cast<unsigned>(victim);
-        }
+        // Under target: claim free capacity first — empty ways, then
+        // orphans. Then take from an over-allocated entity: Reserved
+        // cores first (accelerates convergence of Strict/Elastic
+        // partitions and frees stolen ways fastest), then the pool,
+        // which yields to reservations unconditionally. (A pooled
+        // requester under target means the pool is under its budget,
+        // so there is nothing for it to take from the pool here.)
+        if (empty != 0)
+            return lowestWay(empty);
+        const WayMask steal = orphans != 0 ? orphans
+                              : over != 0  ? over
+                              : pooled     ? 0
+                                           : pool;
+        if (steal != 0)
+            return tags_.lru(set, steal);
     }
 
     // At/over target (or nothing stealable): replace within the
     // requester's own entity. Crucially, an at-target core must NOT
-    // claim invalid ways — that would let it occupy capacity beyond
+    // claim empty ways — that would let it occupy capacity beyond
     // its allocation and defeat way-partitioned isolation.
-    if (requester_pooled) {
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return alloc_.coreClass(b.owner) == CoreClass::Opportunistic;
-        });
-    } else {
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return b.owner == core;
-        });
-    }
-    if (victim >= 0)
-        return static_cast<unsigned>(victim);
+    const WayMask own = pooled ? pool : tags_.owned(set, core);
+    if (own != 0)
+        return tags_.lru(set, own);
 
     // Fallback for corner cases (e.g., an entity with a zero target
     // and no resident blocks): free capacity, orphans, global LRU.
-    const CacheBlock *base = setBase(set);
-    for (unsigned w = 0; w < config_.assoc; ++w)
-        if (!base[w].valid)
-            return w;
-    victim = lruAmong(set, [&](const CacheBlock &b) {
-        return alloc_.coreClass(b.owner) == CoreClass::Inactive;
-    });
-    if (victim < 0)
-        victim = lruAmong(set, [](const CacheBlock &) { return true; });
-    cmpqos_assert(victim >= 0, "full set with no victim candidate");
-    return static_cast<unsigned>(victim);
+    if (empty != 0)
+        return lowestWay(empty);
+    return tags_.lru(set, orphans != 0 ? orphans : held);
 }
 
 unsigned
-PartitionedCache::selectVictimGlobal(std::uint64_t set, CoreId core)
+PartitionedCache::selectVictimGlobal(std::uint64_t set, CoreId core) const
 {
-    int victim = -1;
-
-    // Global target expressed in blocks: ways * numSets.
+    // Global target expressed in blocks: ways * numSets. Pool cores
+    // share the pool budget evenly for the global counter comparison.
+    int pool_cores = 0;
+    for (CoreClass cls : classes_)
+        pool_cores += cls == CoreClass::Opportunistic;
     auto global_target = [&](CoreId c) -> std::uint64_t {
-        if (alloc_.coreClass(c) == CoreClass::Opportunistic) {
-            // Pool cores share the pool budget evenly for the global
-            // counter comparison.
-            int pool_cores = 0;
-            for (int i = 0; i < numCores_; ++i)
-                if (alloc_.coreClass(i) == CoreClass::Opportunistic)
-                    ++pool_cores;
-            return pool_cores == 0
-                       ? 0
-                       : static_cast<std::uint64_t>(alloc_.poolWays()) *
-                             config_.numSets() /
-                             static_cast<std::uint64_t>(pool_cores);
-        }
-        return static_cast<std::uint64_t>(alloc_.target(c)) *
-               config_.numSets();
+        const auto i = static_cast<std::size_t>(c);
+        if (classes_[i] == CoreClass::Opportunistic)
+            return static_cast<std::uint64_t>(poolWays_) *
+                   config_.numSets() /
+                   static_cast<std::uint64_t>(pool_cores);
+        return static_cast<std::uint64_t>(targets_[i]) * config_.numSets();
     };
 
-    if (gcounts_[static_cast<std::size_t>(core)] < global_target(core)) {
-        // Under global target: free capacity and orphans first.
-        const CacheBlock *base = setBase(set);
-        for (unsigned w = 0; w < config_.assoc; ++w)
-            if (!base[w].valid)
-                return w;
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return alloc_.coreClass(b.owner) == CoreClass::Inactive;
-        });
-        if (victim >= 0)
-            return static_cast<unsigned>(victim);
-
-        // Victimise any over-allocated core's block present in this
-        // set; Reserved cores first, as in the per-set scheme.
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return alloc_.coreClass(b.owner) == CoreClass::Reserved &&
-                   b.owner != core &&
-                   gcounts_[static_cast<std::size_t>(b.owner)] >
-                       global_target(b.owner);
-        });
-        if (victim < 0) {
-            victim = lruAmong(set, [&](const CacheBlock &b) {
-                return b.owner != core &&
-                       gcounts_[static_cast<std::size_t>(b.owner)] >
-                           global_target(b.owner);
-            });
+    WayMask held = 0, orphans = 0, over_reserved = 0, over = 0;
+    for (int c = 0; c < numCores_; ++c) {
+        const WayMask ways = tags_.owned(set, c);
+        held |= ways;
+        const CoreClass cls = classes_[static_cast<std::size_t>(c)];
+        if (cls == CoreClass::Inactive)
+            orphans |= ways;
+        if (c != core &&
+            gcounts_[static_cast<std::size_t>(c)] > global_target(c)) {
+            over |= ways;
+            if (cls == CoreClass::Reserved)
+                over_reserved |= ways;
         }
-        if (victim >= 0)
-            return static_cast<unsigned>(victim);
-    } else {
-        victim = lruAmong(set, [&](const CacheBlock &b) {
-            return b.owner == core;
-        });
-        if (victim >= 0)
-            return static_cast<unsigned>(victim);
+    }
+    const WayMask empty = tags_.allWays() & ~held;
+
+    if (gcounts_[static_cast<std::size_t>(core)] < global_target(core)) {
+        // Under global target: free capacity and orphans first, then
+        // any over-allocated core's block in this set, Reserved cores
+        // first, as in the per-set scheme.
+        if (empty != 0)
+            return lowestWay(empty);
+        const WayMask steal = orphans != 0         ? orphans
+                              : over_reserved != 0 ? over_reserved
+                                                   : over;
+        if (steal != 0)
+            return tags_.lru(set, steal);
+    } else if (const WayMask own = tags_.owned(set, core); own != 0) {
+        return tags_.lru(set, own);
     }
 
     // Fallback: free capacity, orphans, then global LRU.
-    const CacheBlock *base = setBase(set);
-    for (unsigned w = 0; w < config_.assoc; ++w)
-        if (!base[w].valid)
-            return w;
-    victim = lruAmong(set, [&](const CacheBlock &b) {
-        return alloc_.coreClass(b.owner) == CoreClass::Inactive;
-    });
-    if (victim < 0)
-        victim = lruAmong(set, [](const CacheBlock &) { return true; });
-    cmpqos_assert(victim >= 0, "full set with no victim candidate");
-    return static_cast<unsigned>(victim);
-}
-
-unsigned
-PartitionedCache::selectVictim(std::uint64_t set, CoreId core)
-{
-    switch (scheme_) {
-      case PartitionScheme::None: {
-        // Unpartitioned: invalid ways first, then plain LRU.
-        const CacheBlock *base = setBase(set);
-        for (unsigned w = 0; w < config_.assoc; ++w)
-            if (!base[w].valid)
-                return w;
-        int victim = lruAmong(set, [](const CacheBlock &) { return true; });
-        return static_cast<unsigned>(victim);
-      }
-      case PartitionScheme::Global:
-        return selectVictimGlobal(set, core);
-      case PartitionScheme::PerSet:
-        return selectVictimPerSet(set, core);
-    }
-    cmpqos_panic("unknown partition scheme");
+    if (empty != 0)
+        return lowestWay(empty);
+    return tags_.lru(set, orphans != 0 ? orphans : held);
 }
 
 AccessResult
@@ -277,44 +189,37 @@ PartitionedCache::access(CoreId core, Addr addr, bool is_write)
     auto &st = stats_[static_cast<std::size_t>(core)];
     ++st.accesses;
 
-    const Addr block_addr = blockAddrOf(addr);
-    const std::uint64_t set = setIndexOf(block_addr);
-    CacheBlock *base = setBase(set);
+    const Addr block_addr = addr >> blockShift_;
+    const std::uint64_t set = block_addr & setMask_;
 
     AccessResult result;
-    int way = findWay(set, block_addr);
+    const int way = tags_.find(set, block_addr);
     if (way >= 0) {
         result.hit = true;
-        base[way].lruStamp = ++stampCounter_;
-        if (is_write)
-            base[way].dirty = true;
+        tags_.touch(set, static_cast<unsigned>(way), is_write);
         return result;
     }
 
     ++st.misses;
-    const unsigned victim = selectVictim(set, core);
-    CacheBlock &blk = base[victim];
-    if (blk.valid) {
-        result.evicted = true;
-        result.victimAddr = blk.blockAddr;
-        if (blk.dirty) {
-            result.writeback = true;
-            ++st.writebacks;
-        }
-        if (blk.owner != core)
-            ++st.interferenceEvictions;
-        // Maintain ownership counters.
-        cmpqos_assert(blk.owner >= 0 && blk.owner < numCores_,
-                      "valid block with bad owner");
-        --count(set, blk.owner);
-        --gcounts_[static_cast<std::size_t>(blk.owner)];
+    unsigned victim = 0;
+    switch (scheme_) {
+      case PartitionScheme::None:
+        victim = tags_.lruVictim(set);
+        break;
+      case PartitionScheme::Global:
+        victim = selectVictimGlobal(set, core);
+        break;
+      case PartitionScheme::PerSet:
+        victim = selectVictimPerSet(set, core);
+        break;
     }
-    blk.blockAddr = block_addr;
-    blk.valid = true;
-    blk.dirty = is_write;
-    blk.owner = core;
-    blk.lruStamp = ++stampCounter_;
-    ++count(set, core);
+    const int old = tags_.fill(set, victim, block_addr, core, is_write, result);
+    if (old >= 0) {
+        st.writebacks += result.writeback;
+        if (old != core)
+            ++st.interferenceEvictions;
+        --gcounts_[static_cast<std::size_t>(old)];
+    }
     ++gcounts_[static_cast<std::size_t>(core)];
     return result;
 }
@@ -322,8 +227,8 @@ PartitionedCache::access(CoreId core, Addr addr, bool is_write)
 bool
 PartitionedCache::contains(Addr addr) const
 {
-    const Addr block_addr = blockAddrOf(addr);
-    return findWay(setIndexOf(block_addr), block_addr) >= 0;
+    const Addr block_addr = addr >> blockShift_;
+    return tags_.find(block_addr & setMask_, block_addr) >= 0;
 }
 
 std::uint64_t
@@ -338,7 +243,7 @@ PartitionedCache::blocksInSet(std::uint64_t set, CoreId core) const
 {
     cmpqos_assert(set < config_.numSets(), "set out of range");
     cmpqos_assert(core >= 0 && core < numCores_, "core out of range");
-    return countOf(set, core);
+    return tags_.count(set, core);
 }
 
 const CoreCacheStats &
@@ -385,13 +290,9 @@ PartitionedCache::totalMisses() const
 void
 PartitionedCache::flush()
 {
-    for (auto &blk : blocks_)
-        blk.invalidate();
-    for (auto &c : counts_)
-        c = 0;
+    tags_.clear();
     for (auto &g : gcounts_)
         g = 0;
-    stampCounter_ = 0;
 }
 
 double
@@ -401,7 +302,7 @@ PartitionedCache::perSetOccupancySpread(CoreId core) const
     const std::uint64_t sets = config_.numSets();
     double sum = 0.0, sum_sq = 0.0;
     for (std::uint64_t s = 0; s < sets; ++s) {
-        const double v = static_cast<double>(countOf(s, core));
+        const double v = static_cast<double>(tags_.count(s, core));
         sum += v;
         sum_sq += v * v;
     }

@@ -26,10 +26,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/block.hh"
-#include "cache/cache.hh"
 #include "cache/config.hh"
 #include "cache/partition.hh"
+#include "cache/tag_store.hh"
 #include "common/types.hh"
 #include "telemetry/recorder.hh"
 
@@ -72,10 +71,8 @@ class PartitionedCache
     const CacheConfig &config() const { return config_; }
     int numCores() const { return numCores_; }
     PartitionScheme scheme() const { return scheme_; }
-    void setScheme(PartitionScheme scheme) { scheme_ = scheme; }
 
     /** The allocation table (targets and core classes). */
-    WayAllocationTable &allocation() { return alloc_; }
     const WayAllocationTable &allocation() const { return alloc_; }
 
     /** Convenience forwarding to the allocation table. */
@@ -108,6 +105,12 @@ class PartitionedCache
     /** Blocks owned by @p core in one set (for convergence tests). */
     unsigned blocksInSet(std::uint64_t set, CoreId core) const;
 
+    /** Blocks owned by any core in one set (set < numSets). */
+    unsigned setOccupancy(std::uint64_t set) const
+    {
+        return tags_.occupancy(set);
+    }
+
     const CoreCacheStats &coreStats(CoreId core) const;
     void resetStats();
 
@@ -128,59 +131,26 @@ class PartitionedCache
     double perSetOccupancySpread(CoreId core) const;
 
   private:
-    Addr blockAddrOf(Addr addr) const { return addr >> blockShift_; }
-    std::uint64_t setIndexOf(Addr block_addr) const
-    {
-        return block_addr & setMask_;
-    }
-    CacheBlock *setBase(std::uint64_t set)
-    {
-        return &blocks_[set * config_.assoc];
-    }
-    const CacheBlock *setBase(std::uint64_t set) const
-    {
-        return &blocks_[set * config_.assoc];
-    }
-    unsigned &count(std::uint64_t set, CoreId core)
-    {
-        return counts_[set * static_cast<std::uint64_t>(numCores_) +
-                       static_cast<std::uint64_t>(core)];
-    }
-    unsigned countOf(std::uint64_t set, CoreId core) const
-    {
-        return counts_[set * static_cast<std::uint64_t>(numCores_) +
-                       static_cast<std::uint64_t>(core)];
-    }
-
-    int findWay(std::uint64_t set, Addr block_addr) const;
+    /** Copy @p core's class and target, and the pool size, inline. */
+    void syncCore(CoreId core);
 
     /** Pick the victim way for a miss by @p core in @p set. */
-    unsigned selectVictim(std::uint64_t set, CoreId core);
-
-    /** Victim selection under the per-set QoS-aware policy. */
-    unsigned selectVictimPerSet(std::uint64_t set, CoreId core);
-
-    /** Victim selection under the global modified-LRU policy. */
-    unsigned selectVictimGlobal(std::uint64_t set, CoreId core);
-
-    /** LRU way among ways satisfying @p pred; -1 if none. */
-    template <typename Pred>
-    int lruAmong(std::uint64_t set, Pred pred) const;
-
-    /** Whether the opportunistic pool is over its way budget in a set. */
-    unsigned poolCount(std::uint64_t set) const;
+    unsigned selectVictimPerSet(std::uint64_t set, CoreId core) const;
+    unsigned selectVictimGlobal(std::uint64_t set, CoreId core) const;
 
     CacheConfig config_;
     int numCores_;
     PartitionScheme scheme_;
     WayAllocationTable alloc_;
+    // Inline copies of alloc_, refreshed by syncCore.
+    std::vector<CoreClass> classes_;
+    std::vector<unsigned> targets_;
+    unsigned poolWays_;
 
     unsigned blockShift_;
     std::uint64_t setMask_;
-    std::vector<CacheBlock> blocks_;
-    std::vector<unsigned> counts_;      // per-set per-core
+    TagStore tags_;                      // owners are cores
     std::vector<std::uint64_t> gcounts_; // global per-core
-    std::uint64_t stampCounter_ = 0;
 
     std::vector<CoreCacheStats> stats_;
 

@@ -56,12 +56,8 @@ InvariantChecker::captureWays(const QosFramework &fw)
                 alloc.target(c);
     const std::uint64_t sets = l2.config().numSets();
     snap.setOwned.resize(sets, 0);
-    for (std::uint64_t s = 0; s < sets; ++s) {
-        unsigned owned = 0;
-        for (int c = 0; c < l2.numCores(); ++c)
-            owned += l2.blocksInSet(s, c);
-        snap.setOwned[s] = owned;
-    }
+    for (std::uint64_t s = 0; s < sets; ++s)
+        snap.setOwned[s] = l2.setOccupancy(s);
     return snap;
 }
 

@@ -146,5 +146,17 @@ TEST(CacheConfigDeathTest, BadGeometryIsFatal)
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1), "block size");
 }
 
+TEST(CacheConfigDeathTest, AssocWiderThanWayMaskIsFatal)
+{
+    CacheConfig c;
+    c.assoc = 64; // the widest a way mask holds
+    c.sizeBytes = 4 * 64 * 64;
+    c.validate();
+    c.assoc = 128;
+    c.sizeBytes = 4 * 128 * 64;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "associativity 128 exceeds the 64-way limit");
+}
+
 } // namespace
 } // namespace cmpqos
