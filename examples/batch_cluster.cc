@@ -5,134 +5,103 @@
  * Controller. Jobs specify RUM targets the way Lsbatch-style batch
  * systems do (processor count, memory/cache size, maximum wall-clock
  * time, deadline); the GAC probes each node's Local Admission
- * Controller and places each job on a node that can satisfy its QoS
- * target, rejecting or negotiating when none can.
+ * Controller, places each job on the node offering the earliest
+ * timeslot, and negotiates a relaxed deadline when no node can meet
+ * the one asked for.
  *
- * This example exercises the admission/reservation machinery across
- * nodes (the paper scopes full multi-node execution out; so do we —
- * reservations are made, and one node's workload is then executed).
+ * The cluster engine runs the whole batch: every placed job executes
+ * on its node, and the summary checks each deadline the nodes agreed
+ * to.
  */
 
 #include <cstdio>
-#include <vector>
+#include <sstream>
 
-#include "qos/framework.hh"
-#include "qos/gac.hh"
+#include "cluster/engine.hh"
 
 using namespace cmpqos;
+
+namespace
+{
+
+/** Prints each admission decision as the GAC makes it. */
+class PlacementPrinter : public EngineObserver
+{
+  public:
+    void
+    onPlacement(const ClusterArrival &arrival,
+                const PlacementOutcome &o) override
+    {
+        const char *bench = arrival.request.benchmark.c_str();
+        if (!o.accepted) {
+            std::printf("%-10s -> rejected, no feasible deadline\n",
+                        bench);
+            return;
+        }
+        std::printf("%-10s -> node %d, slot at %5.1fM cycles", bench,
+                    o.node, static_cast<double>(o.slotStart) / 1e6);
+        if (o.negotiated)
+            std::printf(", deadline negotiated to %.2f tw (asked "
+                        "%.2f tw)",
+                        o.deadlineFactor,
+                        arrival.request.deadlineFactor);
+        std::printf("\n");
+    }
+};
+
+} // namespace
 
 int
 main()
 {
-    // Three CMP nodes, each with its own LAC.
-    constexpr int num_nodes = 3;
-    std::vector<std::unique_ptr<QosFramework>> nodes;
-    GlobalAdmissionController gac(GacPolicy::EarliestSlot);
-    for (int n = 0; n < num_nodes; ++n) {
-        nodes.push_back(std::make_unique<QosFramework>(FrameworkConfig()));
-        gac.addNode(n, &nodes.back()->lac());
-    }
+    ClusterConfig config;
+    config.nodes = 3;
+    config.threads = 1;
+    config.policy = GacPolicy::EarliestSlot;
+    PlacementPrinter printer;
+    config.observer = &printer;
 
-    const InstCount job_length = 6'000'000;
-    QosFramework &reference = *nodes[0];
+    // A batch submitted at once: "medium" preset RUM targets (1 core,
+    // 7 of 16 ways, Strict) whose deadline class is the tier —
+    // gold tight (1.05 tw), silver moderate (2 tw), bronze relaxed
+    // (3 tw).
+    ArrivalMix mix = ArrivalMix::defaults();
+    mix.instructions = 6'000'000;
+    const double deadlines[] = {1.05, 2.0, 3.0};
+    for (std::size_t t = 0; t < numQosTiers; ++t)
+        mix.tiers[t] = TierSpec{ModeSpec::strict(), deadlines[t], 7, 1.0};
+    std::istringstream batch("0 bzip2 gold\n0 gobmk gold\n0 hmmer gold\n"
+                             "0 mcf gold\n0 soplex gold\n"
+                             "0 sphinx gold\n0 astar gold\n"
+                             "0 gcc silver\n0 perl gold\n0 milc gold\n"
+                             "0 namd bronze\n0 povray gold\n"
+                             "0 sjeng gold\n0 h264ref gold\n"
+                             "0 libquantum gold\n");
+    TraceArrivalProcess arrivals(batch, mix, "batch");
 
-    // A stream of batch submissions: "medium" preset RUM targets
-    // (1 core, 7 of 16 ways) with mixed deadlines.
-    struct Submission
-    {
-        const char *benchmark;
-        double deadlineFactor;
-    };
-    const Submission stream[] = {
-        {"bzip2", 1.05}, {"gobmk", 1.05}, {"hmmer", 1.05},
-        {"mcf", 1.05},   {"soplex", 1.05}, {"sphinx", 1.05},
-        {"astar", 1.05}, {"gcc", 2.0},     {"perl", 1.05},
-        {"milc", 1.05},  {"namd", 3.0},    {"povray", 1.05},
-        {"sjeng", 1.05}, {"h264ref", 1.05}, {"libquantum", 1.05},
-    };
+    ClusterEngine engine(config);
+    const ClusterMetrics m = engine.runToCompletion(arrivals);
 
-    std::vector<std::unique_ptr<Job>> jobs;
-    int accepted = 0, rejected = 0, negotiated = 0;
-    std::vector<int> per_node(num_nodes, 0);
+    std::printf("\nGAC summary: %llu accepted (",
+                static_cast<unsigned long long>(m.accepted));
+    for (const NodeMetrics &n : m.nodes)
+        std::printf("node%d=%llu%s", n.node,
+                    static_cast<unsigned long long>(n.placed),
+                    n.node + 1 < engine.numNodes() ? ", " : ")");
+    std::printf(", %llu after negotiation, %llu rejected\n",
+                static_cast<unsigned long long>(m.negotiated),
+                static_cast<unsigned long long>(m.rejected));
 
-    for (const auto &sub : stream) {
-        JobRequest req;
-        req.benchmark = sub.benchmark;
-        req.deadlineFactor = sub.deadlineFactor;
-
-        QosTarget target = QosTarget::medium();
-        target.maxWallClock =
-            reference.maxWallClockFor(req, job_length);
-        target.relativeDeadline = static_cast<Cycle>(
-            static_cast<double>(target.maxWallClock) *
-            sub.deadlineFactor);
-
-        auto job = std::make_unique<Job>(
-            static_cast<JobId>(jobs.size()), sub.benchmark, job_length,
-            target, ModeSpec::strict());
-
-        const GacDecision d = gac.submit(*job, 0);
-        if (d.accepted) {
-            ++accepted;
-            ++per_node[static_cast<std::size_t>(d.node)];
-            std::printf("%-10s -> node %d, slot [%6.1fM, %6.1fM)\n",
-                        sub.benchmark, d.node,
-                        static_cast<double>(d.local.slotStart) / 1e6,
-                        static_cast<double>(d.local.slotEnd) / 1e6);
-        } else {
-            ++rejected;
-            const auto relaxed = gac.negotiateDeadline(*job, 0);
-            if (relaxed) {
-                ++negotiated;
-                std::printf("%-10s -> rejected; negotiable: deadline "
-                            "%.1fM instead of %.1fM cycles\n",
-                            sub.benchmark,
-                            static_cast<double>(*relaxed) / 1e6,
-                            static_cast<double>(
-                                target.relativeDeadline) /
-                                1e6);
-            } else {
-                std::printf("%-10s -> rejected, no feasible deadline\n",
-                            sub.benchmark);
-            }
-        }
-        jobs.push_back(std::move(job));
-    }
-
-    std::printf("\nGAC summary: %d accepted (", accepted);
-    for (int n = 0; n < num_nodes; ++n)
-        std::printf("node%d=%d%s", n, per_node[static_cast<size_t>(n)],
-                    n + 1 < num_nodes ? ", " : ")");
-    std::printf(", %d rejected of which %d negotiable\n", rejected,
-                negotiated);
-    std::printf("GAC probes issued: %llu\n",
-                static_cast<unsigned long long>(gac.probes()));
-
-    // Execute node 0's share to show reservations are real.
-    std::puts("\nexecuting node 0's accepted jobs...");
-    QosFramework node0_exec{FrameworkConfig()};
-    int ran = 0;
-    for (const auto &job : jobs) {
-        // Jobs the GAC placed on node 0 (their reservation lives in
-        // nodes[0]'s LAC; re-submit to an executing instance).
-        // Tight coupling of reservation + execution is what
-        // QosFramework::runWorkload does; here we just demonstrate.
-        if (job->state() == JobState::Waiting && ran < 2) {
-            JobRequest req;
-            req.benchmark = job->benchmark();
-            req.deadlineFactor = 2.0;
-            if (node0_exec.submitJob(req, job_length) != nullptr)
-                ++ran;
-        }
-    }
-    node0_exec.runToCompletion();
-    std::printf("node 0 executed %d jobs; all deadlines %s\n", ran,
-                [&] {
-                    for (const auto &j : node0_exec.jobs())
-                        if (j->state() == JobState::Completed &&
-                            !j->deadlineMet())
-                            return "NOT met";
-                    return "met";
-                }());
-    return 0;
+    const ModeTally &strict =
+        m.byMode[static_cast<std::size_t>(ExecutionMode::Strict)];
+    const std::uint64_t missed = strict.completed - strict.deadlineHits;
+    if (missed == 0)
+        std::printf("executed %llu jobs: all %llu deadlines met\n",
+                    static_cast<unsigned long long>(m.completed),
+                    static_cast<unsigned long long>(strict.completed));
+    else
+        std::printf("executed %llu jobs: %llu deadlines MISSED\n",
+                    static_cast<unsigned long long>(m.completed),
+                    static_cast<unsigned long long>(missed));
+    return missed == 0 ? 0 : 1;
 }

@@ -8,6 +8,49 @@
 namespace cmpqos
 {
 
+namespace
+{
+
+/** Negotiation offers deadline factors of 1 + k * step times the
+ *  request, up to the cap. */
+constexpr double negotiateStep = 0.25;
+constexpr double negotiateMaxFactor = 4.0;
+
+/**
+ * Probe-timeout budget: a probe that times out is retried up to
+ * probeMaxRetries times, backing off probeBackoffBase cycles and then
+ * twice as long per retry; past the budget the node is skipped for
+ * that placement.
+ */
+constexpr unsigned probeMaxRetries = 3;
+constexpr Cycle probeBackoffBase = 10'000;
+
+} // namespace
+
+const char *
+gacPolicyName(GacPolicy p)
+{
+    switch (p) {
+      case GacPolicy::FirstFit: return "first-fit";
+      case GacPolicy::EarliestSlot: return "earliest-slot";
+      case GacPolicy::LeastLoaded: return "least-loaded";
+    }
+    return "?";
+}
+
+bool
+parseGacPolicy(std::string_view name, GacPolicy &out)
+{
+    for (GacPolicy p : {GacPolicy::FirstFit, GacPolicy::EarliestSlot,
+                        GacPolicy::LeastLoaded}) {
+        if (name == gacPolicyName(p)) {
+            out = p;
+            return true;
+        }
+    }
+    return false;
+}
+
 ClusterEngine::ClusterEngine(const ClusterConfig &config)
     : ClusterEngine(config,
                     std::make_unique<LocalBackend>(
@@ -97,9 +140,8 @@ ClusterEngine::negotiate(JobRequest &request, InstCount instructions,
     // Global negotiation (Section 3.1): offer the smallest relaxed
     // deadline some node would accept.
     const double base = request.deadlineFactor;
-    for (double f = 1.0 + config_.negotiateStep;
-         f <= config_.negotiateMaxFactor + 1e-9;
-         f += config_.negotiateStep) {
+    for (double f = 1.0 + negotiateStep; f <= negotiateMaxFactor + 1e-9;
+         f += negotiateStep) {
         request.deadlineFactor = base * f;
         const NodeId target =
             choose(request, instructions, t, probe_faults);
@@ -135,16 +177,17 @@ ClusterEngine::refreshProbeFaults(Cycle t)
         const unsigned failures = injector_->probeTimeoutFailures(n, t);
         if (failures == 0)
             continue;
-        const bool abandoned = failures > config_.probeRetry.maxRetries;
+        const bool abandoned = failures > probeMaxRetries;
         if (abandoned) {
             // Retry budget exhausted: the node counts as unreachable
             // for this placement.
             probeSkip_[i] = 1;
             ++faults_.probeTimeouts;
         } else {
+            // base + 2 base + ... + 2^(failures-1) base.
             faults_.probeRetries += failures;
             faults_.backoffCycles +=
-                config_.probeRetry.totalBackoff(failures);
+                probeBackoffBase * ((Cycle{1} << failures) - 1);
         }
         if (tracing) {
             TraceEvent e = traceEvent(TraceEventType::ProbeTimeout, t);
@@ -410,7 +453,7 @@ ClusterEngine::advance(Cycle from, Cycle to)
 ClusterMetrics
 ClusterEngine::run(ArrivalProcess &arrivals, Cycle horizon, bool drain)
 {
-    // detlint:allow(wall-clock): measurement-only host wall time for
+    // qoslint:allow(wall-clock): measurement-only host wall time for
     // the metrics snapshot; never feeds virtual time or placement.
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -479,7 +522,7 @@ ClusterEngine::run(ArrivalProcess &arrivals, Cycle horizon, bool drain)
     if (config_.observer != nullptr)
         config_.observer->onQuantum(drain ? t : horizon);
 
-    // detlint:allow(wall-clock): measurement-only host wall time for
+    // qoslint:allow(wall-clock): measurement-only host wall time for
     // the metrics snapshot; never feeds virtual time or placement.
     const auto wall_end = std::chrono::steady_clock::now();
     wallSeconds_ +=

@@ -3,8 +3,9 @@
  * The cluster engine: many independent CMP node co-simulations
  * advanced concurrently on a worker thread pool, fed by an open-loop
  * arrival stream placed through global admission — Section 3.1's
- * server of CMP nodes behind a Global Admission Controller, run as a
- * parallel simulation instead of the sequential drain CmpServer does.
+ * server of CMP nodes behind a Global Admission Controller (GAC), run
+ * as a parallel simulation. This is the repository's one GAC: the
+ * engines, qosd, federation and perfbench all place jobs through it.
  *
  * Execution is barrier-stepped: virtual time is cut into placement
  * quanta of `quantum` cycles. At each boundary the driver thread
@@ -24,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -32,10 +34,31 @@
 #include "cluster/node_backend.hh"
 #include "common/annotations.hh"
 #include "fault/injector.hh"
-#include "qos/gac.hh"
 
 namespace cmpqos
 {
+
+/** How the GAC chooses among nodes that can accept a job. */
+enum class GacPolicy
+{
+    /** First node (by id order) whose LAC accepts. */
+    FirstFit,
+    /** Node offering the earliest timeslot start. */
+    EarliestSlot,
+    /**
+     * Node with the fewest jobs in flight, ties broken by the lowest
+     * reserved cache share at node time and then by id. Spreads load
+     * across the fleet (the engine's default).
+     */
+    LeastLoaded,
+};
+
+/** "first-fit", "earliest-slot" or "least-loaded". */
+const char *gacPolicyName(GacPolicy p);
+
+/** Inverse of gacPolicyName; false (and @p out untouched) for any
+ *  other name. */
+bool parseGacPolicy(std::string_view name, GacPolicy &out);
 
 /** What admission decided about one arrival (observer callback). */
 struct PlacementOutcome
@@ -92,13 +115,10 @@ struct ClusterConfig
     Cycle quantum = 2'000'000;
     /** Placement policy across nodes. */
     GacPolicy policy = GacPolicy::LeastLoaded;
-    /** Renegotiate a relaxed deadline when every node rejects. */
+    /** Renegotiate a relaxed deadline when every node rejects
+     *  (Section 3.1's "negotiate with the user for an acceptable QoS
+     *  target"): offers grow in 0.25x steps up to 4x the request. */
     bool negotiate = true;
-    /** Largest deadline relaxation factor offered (Section 3.1's
-     *  "negotiate with the user for an acceptable QoS target"). */
-    double negotiateMaxFactor = 4.0;
-    /** Relaxation step as a fraction of the requested deadline. */
-    double negotiateStep = 0.25;
     /** Cluster seed; per-node streams are SplitMix-derived from it. */
     std::uint64_t seed = 1;
     /** Per-node framework configuration (seed field is overridden). */
@@ -120,8 +140,6 @@ struct ClusterConfig
     /** Evaluate the invariant oracle at every quantum barrier (and
      *  once more after the final drain). */
     bool checkInvariants = false;
-    /** Retry/backoff budget charged against probe-timeout faults. */
-    GacRetryConfig probeRetry;
     /** Optional passive observer (not owned; may be nullptr). Called
      *  on the driver thread only; see EngineObserver. */
     EngineObserver *observer = nullptr;

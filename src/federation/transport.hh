@@ -18,10 +18,11 @@
  *
  * Both backends block until a payload is available or the peer goes
  * away; there are deliberately no host-time timeouts, so transport
- * waits cannot perturb simulation determinism (detlint enforces the
- * absence of clock calls in this directory). Fault injection happens
- * ABOVE the transport, in the coordinator's send path, from the
- * seeded FaultPlan — the link itself is reliable and ordered.
+ * waits cannot perturb simulation determinism (`qoslint detlint`
+ * enforces the absence of clock calls in this directory). Fault
+ * injection happens ABOVE the transport, in the coordinator's send
+ * path, from the seeded FaultPlan — the link itself is reliable and
+ * ordered.
  */
 
 #ifndef CMPQOS_FEDERATION_TRANSPORT_HH

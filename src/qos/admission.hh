@@ -79,7 +79,8 @@ class LocalAdmissionController
 
     /**
      * Probe only: would @p job be accepted at @p now? No state is
-     * modified (used by the Global Admission Controller).
+     * modified (QosFramework::probeJob's test, which the cluster
+     * engine's global admission runs on every node).
      */
     AdmissionDecision probe(const Job &job, Cycle now) const;
 

@@ -211,7 +211,8 @@ class QosFramework
     /**
      * Admission probe without side effects: would this node accept
      * the request right now, and with what slot? Used by multi-node
-     * placement (CmpServer / GAC).
+     * placement (the cluster engine's global admission, through
+     * NodeWorker::probe).
      */
     AdmissionDecision probeJob(const JobRequest &request,
                                InstCount instructions) const;

@@ -141,19 +141,4 @@ ResourceTimeline::pruneBefore(Cycle t)
                   [t](const Reservation &r) { return r.end <= t; });
 }
 
-std::vector<Cycle>
-ResourceTimeline::changePoints(Cycle lo, Cycle hi) const
-{
-    std::vector<Cycle> pts{lo};
-    for (const auto &r : reservations_) {
-        if (r.start > lo && r.start < hi)
-            pts.push_back(r.start);
-        if (r.end > lo && r.end < hi)
-            pts.push_back(r.end);
-    }
-    std::sort(pts.begin(), pts.end());
-    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-    return pts;
-}
-
 } // namespace cmpqos

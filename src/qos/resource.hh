@@ -146,9 +146,6 @@ class ResourceTimeline
     std::uint64_t probeCount() const { return probes_; }
 
   private:
-    /** Candidate change-points within [lo, hi], plus lo itself. */
-    std::vector<Cycle> changePoints(Cycle lo, Cycle hi) const;
-
     ResourceVector capacity_;
     std::vector<Reservation> reservations_;
     mutable std::uint64_t probes_ = 0;

@@ -97,7 +97,7 @@ QosClient::connect(std::string &err)
             break;
         if (attempt >= opts_.connectRetries)
             return false;
-        // detlint:allow(wall-clock): host-side connect backoff while
+        // qoslint:allow(wall-clock): host-side connect backoff while
         // the daemon binds its socket; the retry loop runs before any
         // submission exists, so it cannot influence simulation state
         // or the replay journal.

@@ -51,20 +51,6 @@ parseBool(std::string_view v, bool &out)
     return true;
 }
 
-bool
-parsePolicyName(std::string_view v, GacPolicy &out)
-{
-    if (v == "first-fit")
-        out = GacPolicy::FirstFit;
-    else if (v == "earliest-slot")
-        out = GacPolicy::EarliestSlot;
-    else if (v == "least-loaded")
-        out = GacPolicy::LeastLoaded;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 bool
@@ -91,7 +77,7 @@ applyEpochDirective(EpochConfig &c, std::string_view key,
             return bad("want an unsigned integer");
         c.seed = u;
     } else if (key == "policy") {
-        if (!parsePolicyName(value, c.policy))
+        if (!parseGacPolicy(value, c.policy))
             return bad(
                 "want first-fit, earliest-slot or least-loaded");
     } else if (key == "negotiate") {

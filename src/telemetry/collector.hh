@@ -4,13 +4,13 @@
  * runtime enable toggle, and drains the rings into attached sinks at
  * quantum barriers.
  *
- * Producer convention (shared by ClusterEngine and CmpServer):
- * producer 0 is the driver / global-admission thread, producer i+1 is
- * node i. drain() always empties rings in producer order, so for a
- * fixed seed the delivered event stream is identical at any worker
- * thread count — each node's events are deterministic and internally
- * ordered, and barrier-stepping keeps every drain point aligned with
- * the same virtual-time boundary.
+ * Producer convention (ClusterEngine's): producer 0 is the driver /
+ * global-admission thread, producer i+1 is node i. drain() always
+ * empties rings in producer order, so for a fixed seed the delivered
+ * event stream is identical at any worker thread count — each node's
+ * events are deterministic and internally ordered, and barrier-
+ * stepping keeps every drain point aligned with the same virtual-time
+ * boundary.
  */
 
 #ifndef CMPQOS_TELEMETRY_COLLECTOR_HH

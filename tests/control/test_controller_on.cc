@@ -125,6 +125,48 @@ TEST(ControllerOn, PowerCapForcesDownClocks)
     EXPECT_GT(m.control.freqDrops, 0u);
 }
 
+/**
+ * The slo-0.5 row of ext_energy_cap: relaxed SLAs, a 50% SLO
+ * allowance and no power cap, so only measured slack above
+ * @p slack_high can make the controller economize.
+ */
+ClusterMetrics
+runEconomizing(double slack_high)
+{
+    ClusterConfig c = controlledCluster(2);
+    c.checkInvariants = true;
+    c.control.sloSlowdown = 0.5;
+    c.control.slackHigh = slack_high;
+    c.control.powerCap = 0.0;
+    ArrivalMix mix = bigMix();
+    const double deadlines[] = {2.0, 3.0, 4.0};
+    for (std::size_t t = 0; t < numQosTiers; ++t)
+        mix.tiers[t].deadlineFactor = deadlines[t];
+    PoissonArrivalProcess stream(250'000.0, mix, c.seed ^ 0xa11a1ULL,
+                                 96);
+    ClusterEngine engine(c);
+    return engine.runToCompletion(stream);
+}
+
+TEST(ControllerOn, EconomizeFires)
+{
+    // With the power cap off, NodeController::economize is the only
+    // path that drops a clock.
+    const ClusterMetrics economizing = runEconomizing(0.25);
+    const ClusterMetrics never = runEconomizing(1e9);
+    EXPECT_GT(economizing.control.freqDrops, 0u);
+    EXPECT_EQ(never.control.freqDrops, 0u);
+    const auto strictHitRate = [](const ClusterMetrics &m) {
+        const ModeTally &t =
+            m.byMode[static_cast<std::size_t>(ExecutionMode::Strict)];
+        EXPECT_GT(t.completed, 0u);
+        return t.hitRate();
+    };
+    EXPECT_GE(strictHitRate(economizing), strictHitRate(never));
+    EXPECT_EQ(economizing.invariantViolations, 0u);
+    EXPECT_EQ(never.invariantViolations, 0u);
+}
+
 TEST(ControllerOn, StrictDeadlinesStillMet)
 {
     // Retuning must never cost a Strict job its deadline: the floors

@@ -188,6 +188,48 @@ TEST(Federation, NodeFaultPlanMatchesSingleProcess)
     }
 }
 
+TEST(RelocationFailure, CountedOnBothBackends)
+{
+    // Both nodes crash at the same barrier while each still holds
+    // reserved jobs waiting for their slots. Relocation finds no
+    // alive node, so those jobs fail as a distinct outcome -- counted
+    // on the origin node, through FedRelocFail when federated.
+    FaultPlan plan;
+    plan.faults.push_back({FaultType::NodeCrash, 0, 1, 1, 1, 0});
+    plan.faults.push_back({FaultType::NodeCrash, 1, 1, 1, 1, 0});
+    ClusterConfig c = fastCluster(1);
+    c.nodes = 2;
+    c.faultPlan = &plan;
+    c.checkInvariants = true;
+    ArrivalMix mix = ArrivalMix::defaults();
+    mix.instructions = 2'000'000;
+    mix.tiers[static_cast<std::size_t>(QosTier::Gold)].deadlineFactor =
+        6.0;
+    std::string batch;
+    for (int i = 0; i < 8; ++i)
+        batch += "0 bzip2 gold\n";
+    const auto run = [&](ClusterEngine &engine) {
+        std::istringstream in(batch);
+        TraceArrivalProcess arrivals(in, mix, "batch");
+        return engine.runToCompletion(arrivals);
+    };
+
+    ClusterEngine single(c);
+    const ClusterMetrics m = run(single);
+    EXPECT_EQ(m.accepted, 8u);
+    EXPECT_GT(m.faults.relocationRejected, 0u);
+    EXPECT_GE(m.faults.failedJobs, m.faults.relocationRejected);
+    EXPECT_EQ(m.completed + m.faults.failedJobs, m.accepted);
+    EXPECT_EQ(single.invariantViolations(), 0u);
+
+    FederationConfig fed;
+    fed.shards = 2;
+    FederatedEngine federated(c, fed);
+    const ClusterMetrics f = run(federated);
+    EXPECT_EQ(f.fingerprint(), m.fingerprint());
+    EXPECT_EQ(federated.invariantViolations(), 0u);
+}
+
 TEST(Federation, ControllerOnRunForDurationMatchesSingleProcess)
 {
     // Controllers step before every advance the driver issues, and the

@@ -86,20 +86,6 @@ usage(const char *argv0, std::FILE *out)
         argv0);
 }
 
-GacPolicy
-parsePolicy(const std::string &name)
-{
-    if (name == "first-fit")
-        return GacPolicy::FirstFit;
-    if (name == "earliest-slot")
-        return GacPolicy::EarliestSlot;
-    if (name == "least-loaded")
-        return GacPolicy::LeastLoaded;
-    cmpqos_fatal("unknown policy '%s' (want first-fit, earliest-slot "
-                 "or least-loaded)",
-                 name.c_str());
-}
-
 } // namespace
 
 int
@@ -149,7 +135,11 @@ main(int argc, char **argv)
         } else if (arg == "--quantum") {
             config.quantum = std::strtoull(value(i), nullptr, 10);
         } else if (arg == "--policy") {
-            config.policy = parsePolicy(value(i));
+            const char *name = value(i);
+            if (!parseGacPolicy(name, config.policy))
+                cmpqos_fatal("unknown policy '%s' (want first-fit, "
+                             "earliest-slot or least-loaded)",
+                             name);
         } else if (arg == "--no-negotiate") {
             config.negotiate = false;
         } else if (arg == "--seed") {

@@ -15,7 +15,7 @@
  * legalise what it exists to prevent.
  *
  * Escape hatch: `// qoslint:allow(layering): <reason>` on the include
- * line or the comment line above, mirroring detlint's pragma.
+ * line or the comment line above (the one qoslint pragma).
  *
  * Config format, one module per line:
  *     module: dep dep ...

@@ -1,6 +1,6 @@
 /**
  * @file
- * qoslint entry point — dispatches to the three analyzers. See
+ * qoslint entry point — dispatches to the four analyzers. See
  * qoslint.hh for the suite overview and per-analyzer files for the
  * mechanics.
  */
@@ -16,6 +16,8 @@ usage()
     std::fputs(
         "usage: qoslint <subcommand> [args...]\n"
         "subcommands:\n"
+        "  detlint    ban host-state constructs in deterministic code\n"
+        "             (<path>..., --list-rules)\n"
         "  wirelint   extract the visitFields wire schema and check "
         "it\n"
         "             against docs/SCHEMA.lock (--check, --update, "
@@ -62,6 +64,8 @@ main(int argc, char **argv)
     }
     const std::string sub = args[0];
     const std::vector<std::string> rest(args.begin() + 1, args.end());
+    if (sub == "detlint")
+        return qoslint::detlintMain(rest);
     if (sub == "wirelint")
         return qoslint::wirelintMain(rest);
     if (sub == "layerlint")

@@ -1,8 +1,12 @@
 /**
  * @file
- * qoslint — the contract lint suite. Three analyzers behind one
+ * qoslint — the repo's one lint binary. Four analyzers behind one
  * binary, run as ctest entries (label "lint") and in the CI `static`
  * lane:
+ *
+ *  - detlint: bans constructs that inject host state (wall clocks,
+ *    process RNGs, thread ids, pointer order, hash-order iteration in
+ *    export code) into the deterministic simulation paths;
  *
  *  - wirelint: extracts the wire schema (message type ids, field
  *    names, types, order) from the `visitFields` definitions and
@@ -19,13 +23,14 @@
  *    primitives that would be invisible to the thread-safety
  *    analysis.
  *
- * Like detlint, qoslint deliberately links nothing from src/ (it
- * polices that code) and its output is deterministic: files are
- * scanned in sorted path order, findings sorted before printing.
+ * qoslint deliberately links nothing from src/ (it polices that
+ * code) and its output is deterministic: files are scanned in sorted
+ * path order, findings sorted before printing.
  *
- * Escape hatch, mirroring detlint's: `// qoslint:allow(<rule>): <reason>`
- * on the offending line or the comment line above. The reason is
- * mandatory; naming an unknown rule is itself an error.
+ * Escape hatch, one namespace for every analyzer:
+ * `// qoslint:allow(<rule>): <reason>` on the offending line or the
+ * comment line above. The reason is mandatory; naming an unknown rule
+ * (see knownRule) is itself a `qoslint-directive` finding.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
  */
@@ -37,22 +42,26 @@
 #include <tuple>
 #include <vector>
 
-#include "../lint_util.hh"
+#include "lint_util.hh"
 
 namespace qoslint
 {
 
 namespace fs = lintutil::fs;
 
+/** True for an id in detlint's rule table (detlint.cc). */
+bool detlintRule(const std::string &id);
+
 /** Every rule id any subcommand can fire or a pragma can name.
- *  Shared across the analyzers so a lockorder pragma in a file
- *  layerlint scans is not reported as unknown. */
+ *  Shared across the analyzers so a pragma for one analyzer in a file
+ *  another scans (a wall-clock allow seen by layerlint, say) is not
+ *  reported as unknown. */
 inline bool
 knownRule(const std::string &id)
 {
     return id == "layering" || id == "lock-order" ||
            id == "raw-mutex" || id == "wire-schema" ||
-           id == "qoslint-directive";
+           id == "qoslint-directive" || detlintRule(id);
 }
 
 inline lintutil::Directives
@@ -144,6 +153,7 @@ fixtureCases(const fs::path &dir)
 }
 
 // Subcommand entry points (each parses its own arguments).
+int detlintMain(const std::vector<std::string> &args);
 int wirelintMain(const std::vector<std::string> &args);
 int layerlintMain(const std::vector<std::string> &args);
 int lockorderMain(const std::vector<std::string> &args);
