@@ -9,8 +9,8 @@ namespace cmpqos
 {
 
 // Field lists, one per message, in frozen wire order. Nested structs
-// visit through the same visitor, so lists of WireProbe etc. reuse
-// the element's own list below.
+// go through the same visitor (v.embed in place, v.list as elements),
+// so WireJobRequest etc. have one field list each.
 
 template <typename V>
 void
@@ -44,7 +44,7 @@ visitFields(WireLostJob &m, V &v)
 {
     v.i32("local_job", m.localJob);
     v.u8("mode", m.mode);
-    visitFields(m.request, v);
+    v.embed("request", m.request);
 }
 
 template <typename V>
@@ -90,7 +90,7 @@ template <typename V>
 void
 visitFields(FedProbe &m, V &v)
 {
-    visitFields(m.request, v);
+    v.embed("request", m.request);
 }
 
 template <typename V>
@@ -98,7 +98,7 @@ void
 visitFields(FedSubmit &m, V &v)
 {
     v.i32("node", m.node);
-    visitFields(m.request, v);
+    v.embed("request", m.request);
 }
 
 template <typename V>
@@ -270,6 +270,14 @@ static_assert(std::variant_size_v<FedMessage> ==
 
 } // namespace
 
+WireSchema
+fedWireSchema()
+{
+    return recordWireSchema<FedMessage>("federation", "FedMessage",
+                                        "fedProtocolVersion",
+                                        fedProtocolVersion);
+}
+
 const char *
 fedMessageName(const FedMessage &m)
 {
@@ -301,22 +309,12 @@ decodeFedPayload(std::string_view payload, std::uint64_t &seq,
         error = r.err;
         return false;
     }
-    if (type >= std::variant_size_v<FedMessage>) {
+    // Materialise the alternative selected by the type byte, then let
+    // it decode its own fields.
+    if (!makeAlternative(type, out)) {
         error = "unknown message type " + std::to_string(type);
         return false;
     }
-
-    // Materialise the alternative selected by the type byte, then let
-    // it decode its own fields. The index-to-type expansion must stay
-    // in variant order.
-    auto make = [&]<std::size_t... I>(std::index_sequence<I...>) {
-        ((type == I
-              ? (out = std::variant_alternative_t<I, FedMessage>{}, 0)
-              : 0),
-         ...);
-    };
-    make(std::make_index_sequence<std::variant_size_v<FedMessage>>{});
-
     std::visit([&r](auto &alt) { visitFields(alt, r); }, out);
     if (!r.ok) {
         error = r.err;
@@ -334,14 +332,9 @@ FedFrameStatus
 extractFedFrame(std::string &buffer, std::string &payload,
                 std::string &error, std::size_t max_frame)
 {
-    if (buffer.size() < 4)
-        return FedFrameStatus::NeedMore;
     std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(buffer[static_cast<
-                       std::size_t>(i)]))
-               << (8 * i);
+    if (!peekFrameLength(buffer, len))
+        return FedFrameStatus::NeedMore;
     // A payload is at least [u64 seq][u8 type].
     if (len < 9) {
         error = "undersized frame (" + std::to_string(len) + " bytes)";

@@ -35,12 +35,15 @@
 namespace cmpqos
 {
 
+struct WireSchema;
+
 /**
  * Version of the federation wire protocol: the FedMessage alternative
  * order plus every visitFields field sequence below. Any change to
- * that wire reality must bump this constant — `qoslint wirelint`
- * refuses to regenerate docs/SCHEMA.lock otherwise (docs/PROTOCOL.md
- * has the procedure). FedInit carries it so a version-skewed shard is
+ * that wire reality must bump this constant: docs/SCHEMA.lock is
+ * recorded by running the codec (fedWireSchema), and regenerating it
+ * is refused until the constant moves (docs/PROTOCOL.md has the
+ * procedure). FedInit carries it so a version-skewed shard is
  * rejected at handshake instead of desyncing mid-epoch.
  */
 constexpr std::uint32_t fedProtocolVersion = 2;
@@ -283,6 +286,11 @@ using FedMessage =
                  FedQuantumDone, FedDrainDone, FedSnapshotReply,
                  FedInvariantReport, FedError, FedRelocFail,
                  FedRelocFailAck>;
+
+/** The binary layout of every FedMessage alternative and the structs
+ *  they nest, recorded by running the codec (the `federation`
+ *  section of docs/SCHEMA.lock). */
+WireSchema fedWireSchema();
 
 /** Human-readable message name (diagnostics). */
 const char *fedMessageName(const FedMessage &m);

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/wire_codec.hh"
 
 namespace cmpqos
 {
@@ -82,11 +83,8 @@ UdsLink::send(const std::string &payload)
     }
     cmpqos_assert(payload.size() >= 9 && payload.size() <= maxFrame_,
                   "refusing to send %zu-byte frame", payload.size());
-    char header[4];
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        header[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-    std::string frame(header, sizeof(header));
+    std::string frame;
+    appendFrameLength(frame, static_cast<std::uint32_t>(payload.size()));
     frame += payload;
 
     std::size_t sent = 0;

@@ -56,8 +56,13 @@ LocalAdmissionController::decide(const Job &job, Cycle now) const
     const Cycle tw = t.maxWallClock;
     const Cycle deadline = now + t.relativeDeadline;
 
+    // Minimum deadline slack (as a fraction of tw) for a Strict job to
+    // be auto-downgraded. The paper downgrades only moderate (2 tw)
+    // and relaxed (3 tw) jobs, not tight (1.05 tw) ones; a 0.5
+    // threshold reproduces that policy.
+    constexpr double autoDowngradeMinSlackFraction = 0.5;
     const Cycle min_slack = static_cast<Cycle>(
-        config_.autoDowngradeMinSlackFraction * static_cast<double>(tw));
+        autoDowngradeMinSlackFraction * static_cast<double>(tw));
     if (config_.autoDowngrade && job.mode().mode == ExecutionMode::Strict &&
         autoDowngradeEligible(now, deadline, tw) &&
         deadlineSlack(now, deadline, tw) >= min_slack) {
@@ -104,10 +109,12 @@ LocalAdmissionController::probe(const Job &job, Cycle now) const
 AdmissionDecision
 LocalAdmissionController::submit(Job &job, Cycle now)
 {
-    // Cost model: one admission test scans the reservation list.
+    // Cost model: one admission test scans the reservation list, at
+    // 25 cycles per reservation scanned.
+    constexpr Cycle costPerReservationScanned = 25;
     overheadCycles_ +=
         config_.costPerSubmission +
-        config_.costPerReservationScanned *
+        costPerReservationScanned *
             static_cast<Cycle>(timeline_.reservations().size());
 
     job.arrivalTime = now;

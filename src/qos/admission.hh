@@ -35,18 +35,9 @@ struct AdmissionConfig
     ResourceVector capacity{4, 16, 100};
     /** Apply automatic mode downgrade to eligible Strict jobs. */
     bool autoDowngrade = false;
-    /**
-     * Minimum deadline slack (as a fraction of tw) for a Strict job
-     * to be auto-downgraded. The paper downgrades only moderate
-     * (2 tw) and relaxed (3 tw) jobs, not tight (1.05 tw) ones; a 0.5
-     * threshold reproduces that policy.
-     */
-    double autoDowngradeMinSlackFraction = 0.5;
     /** Cost model: fixed cycles charged per admission test (~0.25us
      *  of user-level work at 2GHz). */
     Cycle costPerSubmission = 500;
-    /** Cost model: cycles per reservation scanned during a test. */
-    Cycle costPerReservationScanned = 25;
 };
 
 /** Outcome of one admission test. */

@@ -110,6 +110,10 @@ QosFramework::setTrace(TraceRecorder *trace)
 namespace
 {
 
+/** Retry delay when a reserved start or a promotion finds no free
+ *  core yet. */
+constexpr Cycle startRetryDelay = 500'000;
+
 // Guarded: concurrent node workers (src/cluster) may calibrate
 // different benchmarks at once. Annotated cmpqos::Mutex so the
 // thread-safety analysis (and qoslint lockorder) can see the
@@ -284,8 +288,7 @@ QosFramework::tryStartReserved(Job *job)
     const CoreId core = sched_.startReserved(*job);
     if (core == invalidCore) {
         // Predecessor still draining; retry shortly.
-        ++startRetries_;
-        sim_.scheduleAfter(config_.startRetryDelay,
+        sim_.scheduleAfter(startRetryDelay,
                            [this, job]() { tryStartReserved(job); },
                            "retry-start-" + std::to_string(job->id()));
         return;
@@ -302,9 +305,11 @@ QosFramework::scheduleEnforcement(Job *job)
 {
     if (!config_.enforceMaxWallClock || !job->target().hasTimeslot)
         return;
+    // Grace period before enforcement, as a fraction of tw.
+    constexpr double enforcementGraceFraction = 0.02;
     const Cycle tw = job->target().maxWallClock;
     const Cycle allowance = tw + static_cast<Cycle>(
-        static_cast<double>(tw) * config_.enforcementGraceFraction);
+        static_cast<double>(tw) * enforcementGraceFraction);
     sim_.scheduleAfter(allowance, [this, job]() {
         if (job->state() != JobState::Running ||
             !job->runsReservedNow() || job->exec()->complete())
@@ -375,8 +380,7 @@ QosFramework::tryPromote(Job *job)
         return;
     const CoreId core = sched_.promote(*job);
     if (core == invalidCore) {
-        ++startRetries_;
-        sim_.scheduleAfter(config_.startRetryDelay,
+        sim_.scheduleAfter(startRetryDelay,
                            [this, job]() { tryPromote(job); },
                            "retry-promote-" + std::to_string(job->id()));
         return;
@@ -422,7 +426,6 @@ QosFramework::onCompletion(JobExecution *exec)
         trace_->emit(e);
     }
 
-    ++completedCount_;
     if (pendingCount_ > 0)
         --pendingCount_;
 

@@ -56,8 +56,6 @@ struct FrameworkConfig
      * co-runner bandwidth effects.
      */
     double wallClockMargin = 1.10;
-    /** Retry delay when a reserved start finds no free core yet. */
-    Cycle startRetryDelay = 500'000;
     /**
      * Terminate reserved jobs that run past their maximum wall-clock
      * time (Section 3.2: "a job may be terminated if it runs longer
@@ -66,8 +64,6 @@ struct FrameworkConfig
      * killing jobs.
      */
     bool enforceMaxWallClock = false;
-    /** Grace period before enforcement, as a fraction of tw. */
-    double enforcementGraceFraction = 0.02;
     /**
      * Seed of the node's internal RNG stream (job access-generator
      * seeds). Multi-node engines derive one per node (SplitMix via
@@ -241,14 +237,8 @@ class QosFramework
      */
     void setTrace(TraceRecorder *trace);
 
-    /** Reserved-start retries that found no free core (diagnostics). */
-    std::uint64_t startRetries() const { return startRetries_; }
-
     /** Jobs submitted but not yet completed/terminated (in flight). */
     std::size_t pendingJobs() const { return pendingCount_; }
-
-    /** Jobs that ran to completion on this node. */
-    std::size_t completedJobs() const { return completedCount_; }
 
   private:
     Job *createJob(const JobRequest &request, InstCount instructions);
@@ -274,9 +264,7 @@ class QosFramework
 
     std::vector<std::unique_ptr<Job>> jobs_;
     std::unordered_map<JobId, Job *> byId_;
-    std::size_t completedCount_ = 0;
     std::size_t pendingCount_ = 0;
-    std::uint64_t startRetries_ = 0;
     std::uint64_t enforcementKills_ = 0;
 
     // Workload-run state.

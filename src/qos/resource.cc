@@ -17,11 +17,9 @@ ResourceVector
 ResourceTimeline::reservedAt(Cycle t) const
 {
     ResourceVector used;
-    for (const auto &r : reservations_) {
-        ++probes_;
+    for (const auto &r : reservations_)
         if (r.covers(t))
             used = used + r.resources;
-    }
     return used;
 }
 
@@ -37,13 +35,10 @@ ResourceTimeline::fitsThroughout(Cycle start, Cycle end,
 {
     if (!req.fitsWithin(availableAt(start)))
         return false;
-    for (const auto &r : reservations_) {
-        ++probes_;
-        if (r.start > start && r.start < end) {
-            if (!req.fitsWithin(availableAt(r.start)))
-                return false;
-        }
-    }
+    for (const auto &r : reservations_)
+        if (r.start > start && r.start < end &&
+            !req.fitsWithin(availableAt(r.start)))
+            return false;
     return true;
 }
 

@@ -142,13 +142,9 @@ class ResourceTimeline
         return reservations_;
     }
 
-    /** Number of interval checks performed (LAC cost accounting). */
-    std::uint64_t probeCount() const { return probes_; }
-
   private:
     ResourceVector capacity_;
     std::vector<Reservation> reservations_;
-    mutable std::uint64_t probes_ = 0;
 };
 
 } // namespace cmpqos

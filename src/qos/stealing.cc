@@ -25,9 +25,10 @@ ResourceStealingEngine::activate(Job &job)
     cmpqos_assert(job.exec() != nullptr, "job %d has no execution",
                   job.id());
 
+    // Duplicate-tag set sampling period: every 8th set.
+    constexpr unsigned dupTagSamplePeriod = 8;
     job.exec()->attachDuplicateTags(std::make_unique<DuplicateTagArray>(
-        sys_.l2().config(), job.target().cacheWays,
-        config_.dupTagSamplePeriod));
+        sys_.l2().config(), job.target().cacheWays, dupTagSamplePeriod));
 
     Entry e;
     e.job = &job;
@@ -95,9 +96,12 @@ ResourceStealingEngine::repartition(Entry &e, CoreId core)
     if (e.cancelled && config_.permanentCancel)
         return;
 
-    // Too few sampled misses to estimate the increase reliably: wait
-    // for more statistics before stealing or cancelling.
-    if (dup->shadowMisses() < config_.minShadowMisses)
+    // Confidence guard: with set sampling, a low-L2-traffic job
+    // accumulates counter statistics slowly, and acting on a handful
+    // of sampled misses would make the X% bound pure noise. No steal
+    // or cancel happens below this many shadow misses.
+    constexpr std::uint64_t minShadowMisses = 64;
+    if (dup->shadowMisses() < minShadowMisses)
         return;
 
     // Has stealing pushed the job past its slack?
@@ -137,10 +141,8 @@ ResourceStealingEngine::repartition(Entry &e, CoreId core)
 
     // Past saturation the miss-rate criterion is no longer a safe CPI
     // bound; hold the current partition.
-    if (sys_.bandwidth()->saturated(core)) {
-        ++saturationSkips_;
+    if (sys_.bandwidth()->saturated(core))
         return;
-    }
 
     const unsigned current = sys_.l2().targetWays(core);
     if (current > config_.minWays) {

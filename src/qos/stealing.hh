@@ -41,16 +41,6 @@ struct StealingConfig
     InstCount intervalInstructions = 2'000'000;
     /** Never shrink an Elastic partition below this many ways. */
     unsigned minWays = 1;
-    /** Duplicate-tag set sampling period (every 8th set). */
-    unsigned dupTagSamplePeriod = 8;
-    /**
-     * Minimum shadow misses before the sampled estimate is trusted:
-     * with set sampling, a low-L2-traffic job accumulates counter
-     * statistics slowly, and acting on a handful of sampled misses
-     * would make the X% bound pure noise. No steal or cancel happens
-     * below this threshold.
-     */
-    std::uint64_t minShadowMisses = 64;
     /**
      * Once cancelled for a job, never re-attempt stealing from it.
      * When false (default), stealing resumes once the cumulative
@@ -91,7 +81,6 @@ class ResourceStealingEngine
 
     std::uint64_t totalSteals() const { return steals_; }
     std::uint64_t totalCancels() const { return cancels_; }
-    std::uint64_t saturationSkips() const { return saturationSkips_; }
 
     /** Ways currently stolen from @p job (0 if untracked). */
     unsigned stolenWays(const Job &job) const;
@@ -136,7 +125,6 @@ class ResourceStealingEngine
     std::unordered_map<JobId, Entry> entries_;
     std::uint64_t steals_ = 0;
     std::uint64_t cancels_ = 0;
-    std::uint64_t saturationSkips_ = 0;
 };
 
 } // namespace cmpqos

@@ -1,26 +1,23 @@
 #include "protocol.hh"
 
-#include <bit>
 #include <cstdlib>
 #include <map>
 
-#include "common/logging.hh"
 #include "common/wire_codec.hh"
 #include "telemetry/sink.hh" // escapeJson
 
 namespace cmpqos
 {
 
-namespace
-{
-
 // --- field visitation ----------------------------------------------
 //
 // Each message type lists its fields once, in wire order, and the
-// four codec directions (binary/JSONL x encode/decode) are visitors
-// over that list. Adding a field in one place updates every framing
-// and keeps the binary layout and the JSON keys in lockstep with
-// docs/PROTOCOL.md.
+// codec directions (binary/JSONL x encode/decode, plus the schema
+// recorder) are visitors over that list. Adding a field in one place
+// updates every framing and keeps the binary layout and the JSON keys
+// in lockstep with docs/PROTOCOL.md. The lists sit outside the
+// anonymous namespace: recordWireSchema (common/wire_codec.hh) finds
+// them by argument-dependent lookup, which does not look inside it.
 
 template <typename V> void visitFields(Hello &m, V &v)
 {
@@ -120,6 +117,9 @@ template <typename V> void visitFields(ErrorMsg &m, V &v)
     v.u32("code", m.code);
     v.str("message", m.message);
 }
+
+namespace
+{
 
 // --- type <-> code / op-name table ---------------------------------
 
@@ -510,32 +510,6 @@ struct JsonReader
 
 // --- dispatch helpers ----------------------------------------------
 
-template <typename Fn>
-void
-withAlternative(std::size_t index, Fn &&fn)
-{
-    // Materialise the variant alternative for a runtime index.
-    Message m;
-    switch (index) {
-      case 0: m = Hello{}; break;
-      case 1: m = HelloAck{}; break;
-      case 2: m = Submit{}; break;
-      case 3: m = SubmitReply{}; break;
-      case 4: m = Subscribe{}; break;
-      case 5: m = SubscribeAck{}; break;
-      case 6: m = Status{}; break;
-      case 7: m = StatusReply{}; break;
-      case 8: m = Drain{}; break;
-      case 9: m = DrainDone{}; break;
-      case 10: m = Reconfig{}; break;
-      case 11: m = ReconfigAck{}; break;
-      case 12: m = EventMsg{}; break;
-      case 13: m = ErrorMsg{}; break;
-      default: cmpqos_panic("bad message index %zu", index);
-    }
-    fn(m);
-}
-
 bool
 typeCodeToIndex(std::uint8_t code, std::size_t &index)
 {
@@ -566,15 +540,11 @@ DecodeResult
 decodeBinary(std::string_view buffer, std::size_t max_frame)
 {
     DecodeResult r;
-    if (buffer.size() < 4) {
+    std::uint32_t len = 0;
+    if (!peekFrameLength(buffer, len)) {
         r.status = DecodeResult::Status::NeedMore;
         return r;
     }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(buffer[static_cast<std::size_t>(i)]))
-               << (8 * i);
     if (len > max_frame) {
         r.status = DecodeResult::Status::Error;
         r.error = "oversized frame (" + std::to_string(len) +
@@ -599,20 +569,20 @@ decodeBinary(std::string_view buffer, std::size_t max_frame)
         r.consumed = 4 + len;
         return r;
     }
-    withAlternative(index, [&](Message &m) {
-        BinReader reader{payload.substr(1), 0, true, {}};
-        std::visit([&](auto &alt) { visitFields(alt, reader); }, m);
-        if (!reader.ok) {
-            r.status = DecodeResult::Status::Error;
-            r.error = reader.err;
-        } else if (reader.pos != payload.size() - 1) {
-            r.status = DecodeResult::Status::Error;
-            r.error = "trailing bytes in frame";
-        } else {
-            r.status = DecodeResult::Status::Ok;
-            r.message = std::move(m);
-        }
-    });
+    Message m;
+    makeAlternative(index, m);
+    BinReader reader{payload.substr(1), 0, true, {}};
+    std::visit([&](auto &alt) { visitFields(alt, reader); }, m);
+    if (!reader.ok) {
+        r.status = DecodeResult::Status::Error;
+        r.error = reader.err;
+    } else if (reader.pos != payload.size() - 1) {
+        r.status = DecodeResult::Status::Error;
+        r.error = "trailing bytes in frame";
+    } else {
+        r.status = DecodeResult::Status::Ok;
+        r.message = std::move(m);
+    }
     r.consumed = 4 + len;
     return r;
 }
@@ -665,17 +635,17 @@ decodeJsonl(std::string_view buffer, std::size_t max_frame)
         r.error = "unknown op '" + op_it->second.s + "'";
         return r;
     }
-    withAlternative(index, [&](Message &m) {
-        JsonReader reader{obj, true, {}};
-        std::visit([&](auto &alt) { visitFields(alt, reader); }, m);
-        if (!reader.ok) {
-            r.status = DecodeResult::Status::Error;
-            r.error = reader.err;
-        } else {
-            r.status = DecodeResult::Status::Ok;
-            r.message = std::move(m);
-        }
-    });
+    Message m;
+    makeAlternative(index, m);
+    JsonReader reader{obj, true, {}};
+    std::visit([&](auto &alt) { visitFields(alt, reader); }, m);
+    if (!reader.ok) {
+        r.status = DecodeResult::Status::Error;
+        r.error = reader.err;
+    } else {
+        r.status = DecodeResult::Status::Ok;
+        r.message = std::move(m);
+    }
     return r;
 }
 
@@ -703,10 +673,7 @@ encodeMessage(const Message &m, WireMode mode)
             m);
         std::string frame;
         frame.reserve(4 + w.out.size());
-        const auto len = static_cast<std::uint32_t>(w.out.size());
-        for (int i = 0; i < 4; ++i)
-            frame.push_back(
-                static_cast<char>((len >> (8 * i)) & 0xff));
+        appendFrameLength(frame, static_cast<std::uint32_t>(w.out.size()));
         frame += w.out;
         return frame;
     }
@@ -730,6 +697,13 @@ decodeFrame(std::string_view buffer, WireMode mode,
 {
     return mode == WireMode::Binary ? decodeBinary(buffer, max_frame)
                                     : decodeJsonl(buffer, max_frame);
+}
+
+WireSchema
+serviceWireSchema()
+{
+    return recordWireSchema<Message>("service", "Message",
+                                     "protocolVersion", protocolVersion);
 }
 
 WireMode

@@ -43,8 +43,11 @@
 namespace cmpqos
 {
 
+struct WireSchema;
+
 /** Protocol version spoken by this build (single integer; the daemon
- *  requires an exact match in the handshake). */
+ *  requires an exact match in the handshake). Any change to the wire
+ *  layout below must bump it; docs/PROTOCOL.md has the procedure. */
 constexpr std::uint32_t protocolVersion = 1;
 
 /** Default ceiling on one frame / JSONL line, bytes. Anything larger
@@ -242,6 +245,10 @@ using Message =
     std::variant<Hello, HelloAck, Submit, SubmitReply, Subscribe,
                  SubscribeAck, Status, StatusReply, Drain, DrainDone,
                  Reconfig, ReconfigAck, EventMsg, ErrorMsg>;
+
+/** The binary layout of every Message alternative, recorded by
+ *  running the codec (the `service` section of docs/SCHEMA.lock). */
+WireSchema serviceWireSchema();
 
 /** Kebab-case op name of a message ("submit-reply", ...). */
 const char *messageOpName(const Message &m);

@@ -68,7 +68,6 @@ class Session
 
     bool wantsWrite() const { return !tx_.empty(); }
     WireMode mode() const { return mode_; }
-    bool modeKnown() const { return modeKnown_; }
     /** Bytes of an incomplete frame still buffered (a non-empty value
      *  at disconnect means the peer died mid-frame). */
     std::size_t bufferedInput() const { return rx_.size(); }

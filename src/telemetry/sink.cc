@@ -98,14 +98,12 @@ escapeJson(std::string_view s)
 JsonlTraceSink::JsonlTraceSink(std::ostream &os) : os_(os) {}
 
 std::string
-JsonlTraceSink::formatLine(const TraceEvent &e, int shard)
+JsonlTraceSink::formatLine(const TraceEvent &e)
 {
     std::string line = "{\"ev\":\"";
     line += traceEventName(e.type);
     line += "\",\"t\":" + std::to_string(e.time);
     line += ",\"node\":" + std::to_string(e.node);
-    if (shard >= 0)
-        line += ",\"shard\":" + std::to_string(shard);
     line += ",\"job\":" + std::to_string(e.job);
     const TracePayloadKeys &k = payloadKeys(e.type);
     if (k.a != nullptr)
@@ -124,11 +122,7 @@ JsonlTraceSink::formatLine(const TraceEvent &e, int shard)
 void
 JsonlTraceSink::consume(const TraceEvent &e)
 {
-    int shard = -1;
-    if (e.node >= 0 &&
-        static_cast<std::size_t>(e.node) < nodeShard_.size())
-        shard = nodeShard_[static_cast<std::size_t>(e.node)];
-    os_ << formatLine(e, shard) << '\n';
+    os_ << formatLine(e) << '\n';
 }
 
 void

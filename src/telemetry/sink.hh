@@ -28,7 +28,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/event.hh"
 
@@ -79,26 +78,11 @@ class JsonlTraceSink : public TraceSink
     void consume(const TraceEvent &e) override;
     void close(const TraceMeta &meta) override;
 
-    /** Format one event as a JSONL line (no trailing newline).
-     *  @p shard >= 0 appends a `"shard":<id>` field (federated
-     *  captures with tagging enabled). */
-    static std::string formatLine(const TraceEvent &e, int shard = -1);
-
-    /**
-     * Opt-in shard-id tagging for federated captures: @p node_shard
-     * maps each global node id to its owning shard; driver events
-     * (node -1) and unmapped ids stay untagged. OFF by default —
-     * untagged output is byte-identical at any shard count, which is
-     * the telemetry half of the determinism contract.
-     */
-    void setNodeShards(std::vector<std::int16_t> node_shard)
-    {
-        nodeShard_ = std::move(node_shard);
-    }
+    /** Format one event as a JSONL line (no trailing newline). */
+    static std::string formatLine(const TraceEvent &e);
 
   private:
     std::ostream &os_;
-    std::vector<std::int16_t> nodeShard_;
 };
 
 /**

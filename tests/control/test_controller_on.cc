@@ -69,9 +69,11 @@ TEST(ControllerOn, ActuatesAndAccountsEnergy)
     EXPECT_GT(m.control.retunes, 0u);
     EXPECT_GT(m.energy, 0.0);
     // Every node with retired instructions accumulated energy.
-    for (const auto &n : m.nodes)
-        if (n.instructions > 0)
+    for (const auto &n : m.nodes) {
+        if (n.instructions > 0) {
             EXPECT_GT(n.energy, 0.0) << "node " << n.node;
+        }
+    }
     // The fingerprint gains the controller fields only when on.
     EXPECT_NE(m.fingerprint().find(" energy="), std::string::npos);
     EXPECT_NE(m.fingerprint().find(" control="), std::string::npos);

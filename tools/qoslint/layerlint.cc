@@ -243,7 +243,7 @@ runLayerlint(const std::string &config,
 }
 
 /** Fixture self-test: each case has layers.conf, a src/ tree, and an
- *  EXPECT file `check <pass|fail> [substring]`. */
+ *  EXPECT file `<pass|fail> [substring]`. */
 int
 layerlintSelfTest(const std::string &dir)
 {

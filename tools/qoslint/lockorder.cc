@@ -418,7 +418,7 @@ runLockorder(const std::vector<std::string> &roots, bool dump)
 }
 
 /** Fixture self-test: each case has a src/ tree and an EXPECT file
- *  `check <pass|fail> [substring]`. */
+ *  `<pass|fail> [substring]`. */
 int
 lockorderSelfTest(const std::string &dir)
 {

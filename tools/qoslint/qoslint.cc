@@ -1,6 +1,6 @@
 /**
  * @file
- * qoslint entry point — dispatches to the four analyzers. See
+ * qoslint entry point — dispatches to the three analyzers. See
  * qoslint.hh for the suite overview and per-analyzer files for the
  * mechanics.
  */
@@ -18,10 +18,6 @@ usage()
         "subcommands:\n"
         "  detlint    ban host-state constructs in deterministic code\n"
         "             (<path>..., --list-rules)\n"
-        "  wirelint   extract the visitFields wire schema and check "
-        "it\n"
-        "             against docs/SCHEMA.lock (--check, --update, "
-        "--emit)\n"
         "  layerlint  check #include edges against the declared "
         "module DAG\n"
         "  lockorder  extract Mutex acquisition order and reject "
@@ -66,8 +62,6 @@ main(int argc, char **argv)
     const std::vector<std::string> rest(args.begin() + 1, args.end());
     if (sub == "detlint")
         return qoslint::detlintMain(rest);
-    if (sub == "wirelint")
-        return qoslint::wirelintMain(rest);
     if (sub == "layerlint")
         return qoslint::layerlintMain(rest);
     if (sub == "lockorder")
