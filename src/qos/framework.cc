@@ -330,6 +330,7 @@ QosFramework::removeJob(Job *job, JobState final_state,
             // Record where it stopped for wall-clock accounting.
             job->exec()->endCycle = static_cast<double>(sim_.now());
         }
+        job->exec()->retire();
     }
     if (config_.policy != SystemPolicy::EqualPart) {
         if (job->mode().mode == ExecutionMode::Elastic)

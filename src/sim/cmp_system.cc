@@ -203,6 +203,7 @@ CmpSystem::advance(CoreId core_id, InstCount max_instr)
 
     if (job->complete()) {
         job->endCycle = cpu.localTime();
+        job->retire();
         q.pop_front();
         result.completed = job;
     }

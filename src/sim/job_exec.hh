@@ -1,14 +1,16 @@
 /**
  * @file
- * Runtime state of one executing job: its synthetic access generator,
- * progress, per-job cache/cycle statistics, and the optional
- * duplicate tag array attached while the job runs as Elastic(X).
+ * Runtime state of one executing job: its synthetic access generator
+ * (alive only while the job runs), progress, per-job cache/cycle
+ * statistics, and the optional duplicate tag array attached while the
+ * job runs as Elastic(X).
  */
 
 #ifndef CMPQOS_SIM_JOB_EXEC_HH
 #define CMPQOS_SIM_JOB_EXEC_HH
 
 #include <memory>
+#include <optional>
 
 #include "cache/duplicate_tags.hh"
 #include "common/types.hh"
@@ -32,7 +34,21 @@ class JobExecution
 
     JobId id() const { return id_; }
     const BenchmarkProfile &profile() const { return *profile_; }
-    AccessGenerator &generator() { return generator_; }
+
+    /**
+     * The job's access stream, built on the first call (the job's
+     * first advance, or a harness pre-filling a cache with its
+     * standing set) from the seed drawn at admission, so a job
+     * waiting for its slot holds no reuse stack. Fatal after retire().
+     */
+    AccessGenerator &generator();
+
+    /**
+     * Destroy the access stream: the job completed or left its node.
+     * The statistics below stay readable.
+     */
+    void retire();
+    bool retired() const { return retired_; }
 
     InstCount length() const { return length_; }
     InstCount executed() const { return executed_; }
@@ -103,7 +119,10 @@ class JobExecution
     const BenchmarkProfile *profile_;
     InstCount length_;
     InstCount executed_ = 0;
-    AccessGenerator generator_;
+    std::uint64_t seed_;
+    TraceMode mode_;
+    std::optional<AccessGenerator> generator_;
+    bool retired_ = false;
     std::unique_ptr<DuplicateTagArray> dupTags_;
 };
 

@@ -23,7 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
+#include <cstring>
+#include <memory>
 
 #include "common/annotations.hh"
 #include "common/logging.hh"
@@ -44,11 +45,11 @@ class SpscEventRing
         std::size_t cap = 2;
         while (cap < capacity)
             cap <<= 1;
-        buf_.resize(cap);
+        slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
         mask_ = cap - 1;
     }
 
-    std::size_t capacity() const { return buf_.size(); }
+    std::size_t capacity() const { return mask_ + 1; }
 
     /**
      * Producer: append @p e unless the ring is full.
@@ -62,9 +63,9 @@ class SpscEventRing
         producer_.grant();
         const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
         const std::uint64_t head = head_.load(std::memory_order_acquire);
-        if (tail - head >= buf_.size())
+        if (tail - head >= capacity())
             return false;
-        buf_[tail & mask_] = e;
+        std::memcpy(&slots_[tail & mask_], &e, sizeof e);
         tail_.store(tail + 1, std::memory_order_release);
         return true;
     }
@@ -83,7 +84,10 @@ class SpscEventRing
         const std::uint64_t tail = tail_.load(std::memory_order_acquire);
         if (head == tail)
             return false;
-        out = buf_[head & mask_];
+        // TraceEvent is trivially copyable (static-asserted in
+        // event.hh); the cast only tells the compiler so.
+        std::memcpy(static_cast<void *>(&out), &slots_[head & mask_],
+                    sizeof out);
         head_.store(head + 1, std::memory_order_release);
         return true;
     }
@@ -108,7 +112,18 @@ class SpscEventRing
     OwnerRole producer_;
     OwnerRole consumer_;
 
-    std::vector<TraceEvent> buf_;
+    /**
+     * Raw storage for one event. It has no initialisers, so allocating
+     * the slot array writes nothing: a slot's page becomes resident
+     * only when the producer first writes it, and a ring's memory
+     * follows the events it has held rather than its capacity.
+     */
+    struct Slot
+    {
+        alignas(TraceEvent) unsigned char bytes[sizeof(TraceEvent)];
+    };
+
+    std::unique_ptr<Slot[]> slots_;
     std::size_t mask_ = 0;
     /** Consumer cursor (padded away from the producer's). */
     alignas(64) std::atomic<std::uint64_t> head_{0};

@@ -126,13 +126,15 @@ LruStackSampler::makeRoom(std::size_t count)
     compact();
     const std::size_t needed = nextSlot_ + count;
     if (2 * needed > slotBlock_.size()) {
-        // Dense: double, up to 4x the cap, or fit a larger bulk fill
-        // exactly. needed never exceeds the cap, so the cap-bound
-        // space always ends at most a quarter full.
+        // Dense: double the larger of the current space and what is
+        // needed, up to 4x the cap. A bulk fill (the warm-up) thus
+        // gets the headroom its first push would otherwise grow to.
+        // needed never exceeds the cap, so the cap-bound space always
+        // ends at most a quarter full.
         const std::size_t max_words = (4 * maxLive_ + 63) / 64;
-        const std::size_t words =
-            std::max((needed + 63) / 64,
-                     std::min(2 * occupied_.size(), max_words));
+        const std::size_t fit = (needed + 63) / 64;
+        const std::size_t words = std::max(
+            fit, std::min(2 * std::max(occupied_.size(), fit), max_words));
         occupied_.resize(words, 0);
         slotBlock_.resize(words * 64);
     }

@@ -83,6 +83,21 @@ TEST(Cancellation, CancelRunningReservedJobReleasesCore)
     fw.runToCompletion();
 }
 
+TEST(Cancellation, CancelRunningJobRetiresItsStream)
+{
+    QosFramework fw(fastConfig());
+    Job *a = fw.submitJob(request("bzip2", ModeSpec::strict(), 5.0),
+                          20'000'000);
+    ASSERT_NE(a, nullptr);
+    fw.simulation().run(2'000'000);
+    ASSERT_EQ(a->state(), JobState::Running);
+    ASSERT_FALSE(a->exec()->retired());
+
+    EXPECT_TRUE(fw.cancelJob(*a));
+    EXPECT_TRUE(a->exec()->retired());
+    fw.runToCompletion();
+}
+
 TEST(Cancellation, CancelRunningElasticStopsStealing)
 {
     QosFramework fw(fastConfig());
@@ -132,6 +147,21 @@ TEST(Enforcement, OverrunningJobIsTerminated)
     EXPECT_EQ(a->state(), JobState::Terminated);
     EXPECT_EQ(fw.enforcementTerminations(), 1u);
     EXPECT_FALSE(a->exec()->complete());
+}
+
+TEST(Enforcement, TerminatedJobRetiresItsStream)
+{
+    FrameworkConfig fc = fastConfig();
+    fc.enforceMaxWallClock = true;
+    fc.wallClockMargin = 0.5;
+    QosFramework fw(fc);
+    Job *a = fw.submitJob(request("bzip2", ModeSpec::strict(), 5.0),
+                          10'000'000);
+    ASSERT_NE(a, nullptr);
+    fw.runToCompletion();
+    ASSERT_EQ(a->state(), JobState::Terminated);
+    EXPECT_FALSE(a->exec()->complete());
+    EXPECT_TRUE(a->exec()->retired());
 }
 
 TEST(Enforcement, WellBehavedJobUnaffected)

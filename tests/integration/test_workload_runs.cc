@@ -139,6 +139,27 @@ TEST(WorkloadRuns, MixedWorkloadQosHolds)
     EXPECT_DOUBLE_EQ(r.deadlineHitRate(true), 1.0);
 }
 
+TEST(WorkloadRuns, CompletedJobsRetireTheirStreams)
+{
+    // Every accepted job's access stream is destroyed when the job
+    // completes; rejected candidates never had one.
+    FrameworkConfig fc = FrameworkConfig::forModeConfig(ModeConfig::Hybrid2);
+    fc.cmp.chunkInstructions = 20'000;
+    fc.stealing.intervalInstructions = 500'000;
+    QosFramework fw(fc);
+    fw.runWorkload(makeSingleBenchmarkWorkload(ModeConfig::Hybrid2,
+                                               "gobmk", 6, kJobInstr, 3));
+    std::size_t accepted = 0;
+    for (const auto &job : fw.jobs()) {
+        if (job->exec() == nullptr)
+            continue;
+        ++accepted;
+        EXPECT_TRUE(job->exec()->complete()) << "job " << job->id();
+        EXPECT_TRUE(job->exec()->retired()) << "job " << job->id();
+    }
+    EXPECT_EQ(accepted, 6u);
+}
+
 TEST(WorkloadRuns, ResultDeterministicForSeed)
 {
     const auto a = runConfig(ModeConfig::Hybrid1, "gobmk", 11);

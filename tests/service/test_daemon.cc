@@ -75,10 +75,14 @@ class DaemonHarness
     ~DaemonHarness()
     {
         join();
-        const std::uint64_t epochs = daemon_->epochsCompleted();
+        // Collect the journal paths while the daemon still exists;
+        // they are removed once it has closed them.
+        std::vector<std::string> journals;
+        for (std::uint64_t e = 0; e <= daemon_->epochsCompleted(); ++e)
+            journals.push_back(journalPathFor(e));
         daemon_.reset();
-        for (std::uint64_t e = 0; e <= epochs; ++e)
-            std::remove(journalPathFor(e).c_str());
+        for (const std::string &path : journals)
+            std::remove(path.c_str());
         ::rmdir(journalDir_.c_str());
         std::remove(socketPath_.c_str());
     }

@@ -73,5 +73,28 @@ TEST(JobExecution, DuplicateTagLifecycle)
     EXPECT_EQ(j.duplicateTags(), nullptr);
 }
 
+TEST(JobExecution, RetireDropsStreamAndKeepsStats)
+{
+    const auto &b = BenchmarkRegistry::get("bzip2");
+    JobExecution j(5, b, 1000, 1);
+    EXPECT_FALSE(j.retired());
+    std::uint64_t accesses = 0;
+    j.generator().run(1000, [&](Addr, bool) { ++accesses; });
+    j.l2Accesses = accesses;
+    j.noteExecuted(1000);
+    j.retire();
+    EXPECT_TRUE(j.retired());
+    EXPECT_EQ(j.l2Accesses, accesses);
+    EXPECT_TRUE(j.complete());
+}
+
+TEST(JobExecution, GeneratorAfterRetireIsFatal)
+{
+    const auto &b = BenchmarkRegistry::get("bzip2");
+    JobExecution j(6, b, 100, 1);
+    j.retire();
+    EXPECT_DEATH(j.generator(), "after retire");
+}
+
 } // namespace
 } // namespace cmpqos
