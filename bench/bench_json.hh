@@ -10,9 +10,17 @@
  *   {
  *     "bench": "<name>",
  *     "git_hash": "<build hash>",
+ *     "nproc": <hardware threads>,
+ *     "build_type": "<CMake build type>",
+ *     "compiler": "<compiler and version>",
+ *     "options": "<build option summary>",
  *     <meta scalars, insertion order>,
  *     "configs": [ {<row fields, insertion order>}, ... ]
  *   }
+ *
+ * The four host fields come from buildInfo(), as every `--version`
+ * line does, and std::thread::hardware_concurrency(), so a number can
+ * be read against the machine and build that produced it.
  *
  * Fields are pre-rendered strings so each bench keeps exact control
  * of its numeric formatting (a perf trajectory diff should not churn
@@ -26,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,7 +99,7 @@ class BenchJson
 
     explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
 
-    /** Top-level scalar, emitted after git_hash in insertion order. */
+    /** Top-level scalar, emitted after the host fields in insertion order. */
     BenchJson &meta(const std::string &key, std::uint64_t v)
     {
         return metaRaw(key, std::to_string(v));
@@ -135,11 +144,18 @@ class BenchJson
             std::fprintf(stderr, "cannot write %s\n", path.c_str());
             return false;
         }
+        const BuildInfo &build = buildInfo();
         std::fprintf(out,
                      "{\n"
                      "  \"bench\": \"%s\",\n"
-                     "  \"git_hash\": \"%s\",\n",
-                     bench_.c_str(), buildInfo().gitHash);
+                     "  \"git_hash\": \"%s\",\n"
+                     "  \"nproc\": %u,\n"
+                     "  \"build_type\": \"%s\",\n"
+                     "  \"compiler\": \"%s\",\n"
+                     "  \"options\": \"%s\",\n",
+                     bench_.c_str(), build.gitHash,
+                     std::thread::hardware_concurrency(), build.buildType,
+                     build.compiler, build.options);
         for (const auto &[key, value] : meta_)
             std::fprintf(out, "  \"%s\": %s,\n", key.c_str(),
                          value.c_str());

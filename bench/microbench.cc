@@ -2,18 +2,22 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
  * partitioned-L2 access path (steady and under job churn), the L1,
- * the duplicate tag array, the stack-distance sampler, generator
- * setup, and the LAC admission test — the hot paths of the simulator
- * and framework.
+ * the duplicate tag array, the stack-distance sampler, the generator,
+ * a whole node's advance, generator setup, and the LAC admission test
+ * — the hot paths of the simulator and framework.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/duplicate_tags.hh"
 #include "cache/partitioned_cache.hh"
 #include "common/random.hh"
 #include "qos/admission.hh"
+#include "sim/cmp_system.hh"
 #include "workload/benchmark.hh"
 #include "workload/generator.hh"
 
@@ -156,6 +160,40 @@ BM_GeneratorRun(benchmark::State &state)
     state.SetLabel("items = instructions");
 }
 BENCHMARK(BM_GeneratorRun);
+
+/**
+ * The whole node access path: four Reserved cores with four ways each
+ * run bzip2, hmmer, gobmk and mcf, advanced round robin in
+ * 20k-instruction chunks through the generator, the L2 and the CPI
+ * model. The jobs never finish, and each core's first chunk (which
+ * builds its stream) runs before timing starts.
+ */
+void
+BM_CmpSystemAdvance(benchmark::State &state)
+{
+    CmpSystem sys;
+    const char *const names[] = {"bzip2", "hmmer", "gobmk", "mcf"};
+    std::vector<std::unique_ptr<JobExecution>> jobs;
+    for (CoreId c = 0; c < 4; ++c) {
+        sys.l2().setTargetWays(c, 4);
+        sys.l2().setCoreClass(c, CoreClass::Reserved);
+        jobs.push_back(std::make_unique<JobExecution>(
+            c, BenchmarkRegistry::get(names[c]), InstCount{1} << 50,
+            static_cast<std::uint64_t>(c) + 1));
+        sys.enqueueJob(c, jobs.back().get());
+        sys.advance(c, sys.config().chunkInstructions);
+    }
+    std::int64_t instructions = 0;
+    CoreId core = 0;
+    for (auto _ : state) {
+        instructions += static_cast<std::int64_t>(
+            sys.advance(core, sys.config().chunkInstructions).instructions);
+        core = (core + 1) % 4;
+    }
+    state.SetItemsProcessed(instructions);
+    state.SetLabel("items = instructions");
+}
+BENCHMARK(BM_CmpSystemAdvance);
 
 /** Job setup: an AccessGenerator with its warmed reuse stack. */
 void

@@ -1,7 +1,8 @@
 /**
  * @file
  * A Fenwick (binary indexed) tree over 32-bit counts, with an
- * O(log n) branch-free "find the index holding the k-th unit" query.
+ * O(log n) branch-free "find the index holding the k-th unit" query
+ * and a variant that also removes that unit in the same descent.
  *
  * Used by the LRU stack-distance sampler (src/workload) over the
  * popcounts of its 64-slot occupancy words, to locate the word that
@@ -130,6 +131,31 @@ class FenwickTree
             pos += step * take;
             k -= below & (0u - take);
         }
+        return pos; // 0-based slot index
+    }
+
+    /**
+     * findKthRank() that also removes the unit it finds, as
+     * add(idx, -1) would, in the same descent. The nodes the descent
+     * does not step past are exactly those covering the found slot,
+     * so each is decremented as it is read, and then the root.
+     */
+    std::size_t
+    takeKthRank(std::uint32_t &k)
+    {
+        cmpqos_assert(k >= 1 && k <= tree_.back(),
+                      "takeKth k=%u out of [1,%u]", k, tree_.back());
+        std::size_t pos = 0;
+        for (std::size_t step = (tree_.size() - 1) / 2; step > 0;
+             step >>= 1) {
+            std::uint32_t &node = tree_[pos + step];
+            const std::uint32_t below = node;
+            const std::uint32_t take = below < k;
+            node = below - (take ^ 1u);
+            pos += step * take;
+            k -= below & (0u - take);
+        }
+        --tree_.back();
         return pos; // 0-based slot index
     }
 

@@ -21,12 +21,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -34,42 +28,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
-{
-    cmpqos_assert(bound > 0, "uniformInt bound must be positive");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
 }
 
 std::int64_t
@@ -115,25 +73,6 @@ Rng::discrete(const std::vector<double> &weights)
         total += w;
     }
     return discrete(weights, total);
-}
-
-std::size_t
-Rng::discrete(const std::vector<double> &weights, double total)
-{
-    cmpqos_assert(total > 0.0, "discrete weights must not all be zero");
-    double target = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 Rng

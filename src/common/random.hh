@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "logging.hh"
+
 namespace cmpqos
 {
 
@@ -31,13 +33,53 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** @return a uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a uniform integer in [0, bound) — bound must be > 0. */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t
+    uniformInt(std::uint64_t bound)
+    {
+        cmpqos_assert(bound > 0, "uniformInt bound must be positive");
+        return uniformBelow(bound, -bound % bound);
+    }
+
+    /**
+     * uniformInt() for callers that keep the bound's rejection
+     * @p threshold, -bound % bound: the same draw for the same state,
+     * with one division instead of two.
+     */
+    std::uint64_t
+    uniformBelow(std::uint64_t bound, std::uint64_t threshold)
+    {
+        // Rejection sampling to remove modulo bias.
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return a uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
@@ -65,15 +107,32 @@ class Rng
      * front to back as discrete() sums it: the same draw for the same
      * state, without re-summing on every call.
      */
-    std::size_t discrete(const std::vector<double> &weights, double total);
+    std::size_t
+    discrete(const std::vector<double> &weights, double total)
+    {
+        cmpqos_assert(total > 0.0, "discrete weights must not all be zero");
+        double target = uniform() * total;
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+            target -= weights[i];
+            if (target < 0.0)
+                return i;
+        }
+        return weights.size() - 1;
+    }
 
     /** @return true with probability @p p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** Fork an independent stream, deterministic in this stream. */
     Rng fork();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

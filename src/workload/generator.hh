@@ -17,6 +17,7 @@
 #ifndef CMPQOS_WORKLOAD_GENERATOR_HH
 #define CMPQOS_WORKLOAD_GENERATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/random.hh"
@@ -53,16 +54,34 @@ class AccessGenerator
 
     /**
      * Advance the job by @p n instructions, emitting accesses.
+     * They are generated batchSize at a time before @p emit sees
+     * them, so @p emit must not read this generator's state.
      * @param emit callable (Addr addr, bool is_write)
      */
     template <typename F>
     void
     run(InstCount n, F &&emit)
     {
+        std::uint64_t due = 0;
         accum_ += static_cast<double>(n) * rate_;
         while (accum_ >= 1.0) {
             accum_ -= 1.0;
-            emitOne(emit);
+            ++due;
+        }
+        // With the cache walk out of the way, consecutive accesses'
+        // sampler descents overlap, and a mispredicted hit or miss in
+        // emit no longer flushes the next access's descent.
+        while (due > 0) {
+            Addr addrs[batchSize] = {};
+            bool writes[batchSize] = {};
+            const auto count = static_cast<std::size_t>(
+                std::min<std::uint64_t>(due, batchSize));
+            for (std::size_t i = 0; i < count; ++i)
+                nextAccess(addrs[i], writes[i]);
+            emitted_ += count;
+            due -= count;
+            for (std::size_t i = 0; i < count; ++i)
+                emit(addrs[i], writes[i]);
         }
     }
 
@@ -101,19 +120,18 @@ class AccessGenerator
     }
 
   private:
-    template <typename F>
+    /** Accesses run() generates before handing them out. */
+    static constexpr std::size_t batchSize = 256;
+
     void
-    emitOne(F &&emit)
+    nextAccess(Addr &addr, bool &is_write)
     {
         const auto distance = streamProfile_.sample(rng_);
         const std::uint64_t block =
             distance ? stack_.accessAtDistance(*distance)
                      : stack_.accessNew();
-        const Addr addr =
-            addressBase_ + block * static_cast<Addr>(blockSize_);
-        const bool is_write = rng_.bernoulli(profile_->writeFraction);
-        ++emitted_;
-        emit(addr, is_write);
+        addr = addressBase_ + block * static_cast<Addr>(blockSize_);
+        is_write = rng_.bernoulli(profile_->writeFraction);
     }
 
     const BenchmarkProfile *profile_;

@@ -101,35 +101,22 @@ StackDistanceProfile::StackDistanceProfile(
 {
     cmpqos_assert(!components_.empty(), "profile needs components");
     weights_.reserve(components_.size());
-    for (const auto &c : components_) {
+    uniformSpans_.resize(components_.size());
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        const ProfileComponent &c = components_[i];
         cmpqos_assert(c.weight >= 0.0, "negative component weight");
-        if (c.kind == ProfileComponent::Kind::Uniform)
+        if (c.kind == ProfileComponent::Kind::Uniform) {
             cmpqos_assert(c.lo >= 1 && c.lo <= c.hi,
                           "bad uniform bounds [%llu, %llu]",
                           static_cast<unsigned long long>(c.lo),
                           static_cast<unsigned long long>(c.hi));
+            const std::uint64_t span = c.hi - c.lo + 1;
+            uniformSpans_[i] = {span, -span % span};
+        }
         weights_.push_back(c.weight);
         totalWeight_ += c.weight;
     }
     cmpqos_assert(totalWeight_ > 0.0, "profile weights sum to zero");
-}
-
-std::optional<std::uint64_t>
-StackDistanceProfile::sample(Rng &rng) const
-{
-    const std::size_t idx = rng.discrete(weights_, totalWeight_);
-    const ProfileComponent &c = components_[idx];
-    switch (c.kind) {
-      case ProfileComponent::Kind::Cold:
-        return std::nullopt;
-      case ProfileComponent::Kind::Uniform:
-        return static_cast<std::uint64_t>(
-            rng.uniformRange(static_cast<std::int64_t>(c.lo),
-                             static_cast<std::int64_t>(c.hi)));
-      case ProfileComponent::Kind::Geometric:
-        return 1 + rng.geometric(1.0 / std::max(c.mean, 1.0));
-    }
-    return std::nullopt;
 }
 
 double

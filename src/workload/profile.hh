@@ -7,6 +7,7 @@
 #ifndef CMPQOS_WORKLOAD_PROFILE_HH
 #define CMPQOS_WORKLOAD_PROFILE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -100,7 +101,25 @@ class StackDistanceProfile
      * Sample one stack distance. std::nullopt means a cold access
      * (touch a new block).
      */
-    std::optional<std::uint64_t> sample(Rng &rng) const;
+    std::optional<std::uint64_t>
+    sample(Rng &rng) const
+    {
+        const std::size_t idx = rng.discrete(weights_, totalWeight_);
+        const ProfileComponent &c = components_[idx];
+        switch (c.kind) {
+          case ProfileComponent::Kind::Cold:
+            return std::nullopt;
+          case ProfileComponent::Kind::Uniform: {
+            // Rng::uniformRange(lo, hi) with the span's rejection
+            // threshold kept from construction.
+            const UniformSpan &u = uniformSpans_[idx];
+            return c.lo + rng.uniformBelow(u.span, u.threshold);
+          }
+          case ProfileComponent::Kind::Geometric:
+            return 1 + rng.geometric(1.0 / std::max(c.mean, 1.0));
+        }
+        return std::nullopt;
+    }
 
     /**
      * Analytic miss rate of this stream on a fully-associative LRU
@@ -128,10 +147,19 @@ class StackDistanceProfile
     std::uint64_t maxFiniteDistance() const;
 
   private:
+    /** A Uniform component's hi - lo + 1 and -span % span. */
+    struct UniformSpan
+    {
+        std::uint64_t span = 0;
+        std::uint64_t threshold = 0;
+    };
+
     std::vector<ProfileComponent> components_;
     std::vector<double> weights_;
     /** Sum of weights_, front to back as Rng::discrete() sums them. */
     double totalWeight_ = 0.0;
+    /** One per component; zero for all but Uniform ones. */
+    std::vector<UniformSpan> uniformSpans_;
 };
 
 } // namespace cmpqos

@@ -22,9 +22,31 @@ LruStackSampler::LruStackSampler(std::size_t max_live_blocks)
 std::size_t
 LruStackSampler::slotOfRank(std::uint64_t rank) const
 {
+    // Every word above the open one is empty, so a rank past the
+    // tree's total lies in the open word.
     auto k = static_cast<std::uint32_t>(rank);
-    const std::size_t word = wordCounts_.findKthRank(k);
+    const auto closed = static_cast<std::uint32_t>(wordCounts_.total());
+    std::size_t word = openWord_;
+    if (k > closed)
+        k -= closed;
+    else
+        word = wordCounts_.findKthRank(k);
     return word * 64 + selectBit64(occupied_[word], k - 1);
+}
+
+std::size_t
+LruStackSampler::takeRank(std::uint64_t rank)
+{
+    auto k = static_cast<std::uint32_t>(rank);
+    const auto closed = static_cast<std::uint32_t>(wordCounts_.total());
+    std::size_t word = openWord_;
+    if (k > closed)
+        k -= closed;
+    else
+        word = wordCounts_.takeKthRank(k);
+    const unsigned bit = selectBit64(occupied_[word], k - 1);
+    occupied_[word] &= ~(std::uint64_t{1} << bit);
+    return word * 64 + bit;
 }
 
 void
@@ -33,8 +55,16 @@ LruStackSampler::pushTop(std::uint64_t block)
     if (nextSlot_ == slotBlock_.size())
         makeRoom(1);
     const std::size_t slot = nextSlot_++;
-    occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    wordCounts_.add(slot / 64, 1);
+    const std::size_t word = slot / 64;
+    if (word != openWord_) {
+        // The closed word's count joins the tree. The new one leaves it
+        // with whatever blocks it already holds after a compaction.
+        if (openWord_ != noOpenWord)
+            wordCounts_.add(openWord_, popcount64(occupied_[openWord_]));
+        wordCounts_.add(word, -std::int64_t{popcount64(occupied_[word])});
+        openWord_ = word;
+    }
+    occupied_[word] |= std::uint64_t{1} << (slot % 64);
     slotBlock_[slot] = block;
 }
 
@@ -42,7 +72,8 @@ void
 LruStackSampler::vacate(std::size_t slot)
 {
     occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-    wordCounts_.add(slot / 64, -1);
+    if (slot / 64 != openWord_)
+        wordCounts_.add(slot / 64, -1);
 }
 
 void
@@ -104,9 +135,7 @@ LruStackSampler::accessAtDistance(std::uint64_t d)
 
     // The d-th most recently used = rank (live - d + 1) from the
     // bottom among occupied slots.
-    const std::size_t slot = slotOfRank(liveCount_ - d + 1);
-    const std::uint64_t block = slotBlock_[slot];
-    vacate(slot);
+    const std::uint64_t block = slotBlock_[takeRank(liveCount_ - d + 1)];
     pushTop(block);
     return block;
 }
@@ -166,6 +195,7 @@ LruStackSampler::recount()
     wordCounts_.assign(occupied_.size(), [this](std::size_t w) {
         return popcount64(occupied_[w]);
     });
+    openWord_ = noOpenWord;
 }
 
 void

@@ -16,10 +16,13 @@
  * Fenwick tree over the words' popcounts finds the word holding the
  * k-th occupied slot, and a broadword select finds the slot inside
  * it, so "the d-th most-recently-used block" is an order-statistics
- * query. Storage follows the live set rather than the cap: when the
- * slots run out, the live ones are compacted to the bottom in order,
- * and the slot space doubles if that leaves it more than half full
- * (up to 4x the cap).
+ * query; the descent that finds a reused block also takes it out of
+ * the tree. The word that pushes go into (the open word) is kept out
+ * of the tree, so a push writes only the bitmap, and ranks past the
+ * tree's total lie in that word. Storage follows the live set rather
+ * than the cap: when the slots run out, the live ones are compacted
+ * to the bottom in order, and the slot space doubles if that leaves
+ * it more than half full (up to 4x the cap).
  */
 
 #ifndef CMPQOS_WORKLOAD_STACK_SAMPLER_HH
@@ -120,6 +123,9 @@ class LruStackSampler
     /** Slot holding the @p rank-th occupied slot from the bottom. */
     std::size_t slotOfRank(std::uint64_t rank) const;
 
+    /** slotOfRank() that also vacates the slot, in one descent. */
+    std::size_t takeRank(std::uint64_t rank);
+
     /**
      * Make room for @p count pushes past the live slots: compact, then
      * grow the slot space if it would be more than half full.
@@ -129,7 +135,7 @@ class LruStackSampler
     /** Renumber occupied slots densely from 0, keeping their order. */
     void compact();
 
-    /** Rebuild wordCounts_ from the bitmap. */
+    /** Rebuild wordCounts_ from the bitmap, every word included. */
     void recount();
 
     /** Mark slots [from, to) occupied in the bitmap. */
@@ -138,8 +144,14 @@ class LruStackSampler
     std::size_t maxLive_;
     /** Bit s % 64 of word s / 64 is set while slot s holds a block. */
     std::vector<std::uint64_t> occupied_;
-    /** Popcount of each occupied_ word. */
+    /** Popcount of each occupied_ word; 0 for the open word. */
     FenwickTree wordCounts_;
+    /**
+     * The word holding slot nextSlot_ - 1, whose count the tree leaves
+     * out, or noOpenWord after recount() until the next push.
+     */
+    static constexpr std::size_t noOpenWord = ~std::size_t{0};
+    std::size_t openWord_ = noOpenWord;
     /** slot -> block id (valid where occupied). */
     std::vector<std::uint64_t> slotBlock_;
     std::size_t nextSlot_ = 0;

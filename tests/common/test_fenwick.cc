@@ -132,5 +132,40 @@ TEST(FenwickTree, FindKthRandomizedAgainstNaive)
     }
 }
 
+
+TEST(FenwickTree, TakeKthMatchesFindThenRemove)
+{
+    Rng rng(11);
+    for (std::size_t n : {1u, 2u, 63u, 64u, 65u, 1000u, 4096u}) {
+        std::vector<std::uint32_t> counts(n);
+        for (auto &c : counts)
+            c = static_cast<std::uint32_t>(rng.uniformInt(4));
+        counts[rng.uniformInt(n)] += 1; // never all empty
+        FenwickTree taken;
+        taken.assign(n, [&](std::size_t i) { return counts[i]; });
+        FenwickTree found = taken;
+        // Take every unit in random order, comparing all prefix sums
+        // after the 1st, 2nd, 4th, ... take and after the last.
+        for (std::size_t takes = 1; taken.total() > 0; ++takes) {
+            const auto k = static_cast<std::uint32_t>(1 + rng.uniformInt(
+                static_cast<std::uint64_t>(taken.total())));
+            std::uint32_t take_rank = k;
+            std::uint32_t find_rank = k;
+            const std::size_t idx = taken.takeKthRank(take_rank);
+            ASSERT_EQ(idx, found.findKthRank(find_rank))
+                << "n=" << n << " k=" << k;
+            ASSERT_EQ(take_rank, find_rank) << "n=" << n << " k=" << k;
+            found.add(idx, -1);
+            ASSERT_EQ(taken.total(), found.total());
+            if ((takes & (takes - 1)) != 0 && taken.total() > 0)
+                continue;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(taken.prefixSum(i), found.prefixSum(i))
+                    << "n=" << n << " after " << takes
+                    << " takes, at index " << i;
+        }
+    }
+}
+
 } // namespace
 } // namespace cmpqos
