@@ -9,35 +9,6 @@
 #include "bench/harness.hh"
 #include "sim/simulation.hh"
 
-namespace
-{
-
-using namespace cmpqos;
-
-/** Measured steady-state CPI of a benchmark alone at @p ways. */
-double
-measureCpi(const BenchmarkProfile &b, unsigned ways, InstCount instr,
-           std::uint64_t seed)
-{
-    CmpConfig cfg;
-    cfg.chunkInstructions = 25'000;
-    CmpSystem sys(cfg);
-    Simulation sim(sys);
-    sys.l2().setTargetWays(0, ways);
-    sys.l2().setCoreClass(0, CoreClass::Reserved);
-
-    // Steady-state protocol: pre-fill the job's standing working set
-    // (the paper skips init phases and measures post-init windows).
-    JobExecution job(0, b, instr, seed);
-    job.generator().forEachStandingBlock(
-        [&](Addr a) { sys.l2().access(0, a, false); });
-    sim.startJobOn(0, &job);
-    sim.run();
-    return job.cpi();
-}
-
-} // namespace
-
 int
 main()
 {
@@ -51,6 +22,8 @@ main()
     const InstCount instr =
         std::max<InstCount>(bench::jobInstructions() / 4, 5'000'000);
     const std::uint64_t seed = bench::workloadSeed();
+    CmpConfig cfg;
+    cfg.chunkInstructions = 25'000;
 
     TablePrinter t("CPI increase when shrinking the L2 allocation");
     t.header({"benchmark", "CPI@7w", "7->1 ways", "7->4 ways",
@@ -61,9 +34,9 @@ main()
         // Fixed L2 access count across benchmarks (see tab01).
         const InstCount scaled = static_cast<InstCount>(
             static_cast<double>(instr) * 0.02 / b.h2);
-        const double cpi7 = measureCpi(b, 7, scaled, seed);
-        const double cpi4 = measureCpi(b, 4, scaled, seed);
-        const double cpi1 = measureCpi(b, 1, scaled, seed);
+        const double cpi7 = runSolo(cfg, b, 7, scaled, seed).cpi;
+        const double cpi4 = runSolo(cfg, b, 4, scaled, seed).cpi;
+        const double cpi1 = runSolo(cfg, b, 1, scaled, seed).cpi;
         const double inc71 = (cpi1 - cpi7) / cpi7;
         const double inc74 = (cpi4 - cpi7) / cpi7;
         const SensitivityGroup measured =

@@ -9,42 +9,6 @@
 #include "bench/harness.hh"
 #include "sim/simulation.hh"
 
-namespace
-{
-
-using namespace cmpqos;
-
-struct Measured
-{
-    double missRate;
-    double mpi;
-};
-
-Measured
-measure(const BenchmarkProfile &b, unsigned ways, InstCount instr,
-        std::uint64_t seed)
-{
-    CmpConfig cfg;
-    cfg.chunkInstructions = 25'000;
-    CmpSystem sys(cfg);
-    Simulation sim(sys);
-    sys.l2().setTargetWays(0, ways);
-    sys.l2().setCoreClass(0, CoreClass::Reserved);
-
-    // Steady-state protocol: pre-fill the job's standing working set
-    // (the paper skips init phases and measures post-init windows).
-    JobExecution job(0, b, instr, seed);
-    job.generator().forEachStandingBlock(
-        [&](Addr a) { sys.l2().access(0, a, false); });
-    sim.startJobOn(0, &job);
-    sim.run();
-    return {job.missRate(),
-            static_cast<double>(job.l2Misses) /
-                static_cast<double>(job.executed())};
-}
-
-} // namespace
-
 int
 main()
 {
@@ -69,6 +33,8 @@ main()
 
     const InstCount instr =
         std::max<InstCount>(bench::jobInstructions(), 10'000'000);
+    CmpConfig cfg;
+    cfg.chunkInstructions = 25'000;
 
     TablePrinter t("L2 behaviour at 7 ways (measured vs paper)");
     t.header({"benchmark", "input", "miss rate", "paper", "L2 MPI",
@@ -79,12 +45,14 @@ main()
         // by 1/h2 so low-h2 benchmarks get equally long measurements.
         const InstCount scaled = static_cast<InstCount>(
             static_cast<double>(instr) * 0.02 / b.h2);
-        const Measured m =
-            measure(b, 7, scaled, bench::workloadSeed());
+        const SoloRun m =
+            runSolo(cfg, b, 7, scaled, bench::workloadSeed());
+        const double mpi = static_cast<double>(m.l2Misses) /
+                           static_cast<double>(m.executed);
         t.row({b.name, b.inputSet,
                TablePrinter::fmtPercent(m.missRate * 100.0, 1),
                TablePrinter::fmtPercent(row.missRate * 100.0, 0),
-               TablePrinter::fmt(m.mpi, 4),
+               TablePrinter::fmt(mpi, 4),
                TablePrinter::fmt(row.mpi, 4),
                std::to_string(b.skippedInstrM)});
     }

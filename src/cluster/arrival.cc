@@ -21,6 +21,32 @@ qosTierName(QosTier t)
     return "?";
 }
 
+bool
+parseQosTier(std::string_view name, QosTier &out)
+{
+    for (std::size_t t = 0; t < numQosTiers; ++t) {
+        if (name == qosTierName(static_cast<QosTier>(t))) {
+            out = static_cast<QosTier>(t);
+            return true;
+        }
+    }
+    return false;
+}
+
+std::string
+arrivalBoundsError(Cycle time, InstCount instructions)
+{
+    if (time > maxArrivalTime)
+        return "arrival time " + std::to_string(time) +
+               " is beyond the largest accepted, " +
+               std::to_string(maxArrivalTime) + " cycles";
+    if (instructions == 0 || instructions > maxArrivalInstructions)
+        return "instruction count " + std::to_string(instructions) +
+               " is outside [1, " + std::to_string(maxArrivalInstructions) +
+               "]";
+    return {};
+}
+
 ArrivalMix
 ArrivalMix::defaults()
 {
@@ -69,6 +95,9 @@ PoissonArrivalProcess::PoissonArrivalProcess(double mean_interarrival,
                      mix_.benchmarks.size(),
                      mix_.benchmarkWeights.size());
     }
+    const std::string bad = arrivalBoundsError(0, mix_.instructions);
+    if (!bad.empty())
+        cmpqos_fatal("arrival mix: %s", bad.c_str());
 }
 
 std::optional<ClusterArrival>
@@ -128,8 +157,13 @@ TraceArrivalProcess::parse(std::istream &in, const std::string &origin)
         std::istringstream fields(line);
         std::uint64_t time = 0;
         std::string benchmark, tier_name;
-        if (!(fields >> time))
-            continue; // blank / comment-only line
+        if (!(fields >> time)) {
+            if (time == 0)
+                continue; // blank / comment-only line
+            // The time overflowed 64 bits and reads as the largest
+            // value, which the bounds check below refuses.
+            fields.clear();
+        }
         if (!(fields >> benchmark >> tier_name))
             cmpqos_fatal("%s:%zu: expected '<time> <benchmark> <tier> "
                          "[instructions]'",
@@ -138,18 +172,19 @@ TraceArrivalProcess::parse(std::istream &in, const std::string &origin)
             cmpqos_fatal("%s:%zu: unknown benchmark '%s'",
                          origin.c_str(), lineno, benchmark.c_str());
         QosTier tier;
-        if (tier_name == "gold")
-            tier = QosTier::Gold;
-        else if (tier_name == "silver")
-            tier = QosTier::Silver;
-        else if (tier_name == "bronze")
-            tier = QosTier::Bronze;
-        else
+        if (!parseQosTier(tier_name, tier))
             cmpqos_fatal("%s:%zu: unknown tier '%s' (want gold, silver "
                          "or bronze)",
                          origin.c_str(), lineno, tier_name.c_str());
+        // Optional: an absent count keeps the mix default; a token
+        // that is not a count reads as 0, and one that overflows as
+        // the largest value, both refused below.
         InstCount instructions = mix_.instructions;
-        fields >> instructions; // optional; keeps default on failure
+        fields >> instructions;
+        const std::string bad = arrivalBoundsError(time, instructions);
+        if (!bad.empty())
+            cmpqos_fatal("%s:%zu: %s", origin.c_str(), lineno,
+                         bad.c_str());
         if (time < last)
             cmpqos_fatal("%s:%zu: arrival times must be sorted "
                          "(%llu after %llu)",

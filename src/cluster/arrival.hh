@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.hh"
@@ -46,7 +47,28 @@ enum class QosTier
 
 constexpr std::size_t numQosTiers = 3;
 
+/** "gold", "silver" or "bronze": the one tier-name table. */
 const char *qosTierName(QosTier t);
+
+/** Parse a name qosTierName writes; false on anything else. */
+bool parseQosTier(std::string_view name, QosTier &out);
+
+/**
+ * Bounds on one arrival's time and instruction count, checked by
+ * arrivalBoundsError where arrivals enter from outside (trace files,
+ * qosd Submits). They keep every sum the engine and the LAC form
+ * from an arrival below maxCycle. tw is instructions times solo CPI
+ * times the wall-clock margin; the models' solo CPIs are below 20,
+ * so tw stays below 2^46. Even a deadline of 16 tw then ends before
+ * 2^60 cycles past the arrival, and time + deadline + a quantum
+ * below 2^62 stays below 2^63.
+ */
+constexpr Cycle maxArrivalTime = Cycle{1} << 60;
+constexpr InstCount maxArrivalInstructions = InstCount{1} << 40;
+
+/** Empty when 0 <= @p time <= maxArrivalTime and 1 <= @p instructions
+ *  <= maxArrivalInstructions; otherwise a message naming the value. */
+std::string arrivalBoundsError(Cycle time, InstCount instructions);
 
 /** How one tier translates into a concrete job request. */
 struct TierSpec
@@ -138,7 +160,8 @@ class PoissonArrivalProcess : public ArrivalProcess
  *   <time_cycles> <benchmark> <gold|silver|bronze> [instructions]
  *
  * separated by whitespace; '#' starts a comment. Lines must be sorted
- * by time. Tier translation comes from the supplied ArrivalMix.
+ * by time and within arrivalBoundsError's bounds. Tier translation
+ * comes from the supplied ArrivalMix.
  */
 class TraceArrivalProcess : public ArrivalProcess
 {

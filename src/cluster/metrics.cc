@@ -22,7 +22,6 @@ modeIndex(ExecutionMode m)
 }
 
 const char *const modeKey[3] = {"strict", "elastic", "opportunistic"};
-const char *const tierKey[numQosTiers] = {"gold", "silver", "bronze"};
 
 std::string
 num(double v)
@@ -182,7 +181,8 @@ MetricsExporter::writeJsonl(const ClusterMetrics &m, std::ostream &os)
        << ",\"negotiated\":" << m.negotiated
        << ",\"truncated\":" << m.truncated << ",\"accepted_by_tier\":{";
     for (std::size_t t = 0; t < numQosTiers; ++t)
-        os << (t ? "," : "") << "\"" << tierKey[t]
+        os << (t ? "," : "") << "\""
+           << qosTierName(static_cast<QosTier>(t))
            << "\":" << m.acceptedByTier[t];
     os << "},\"accept_rate\":" << num(m.acceptRate())
        << ",\"completed\":" << m.completed

@@ -121,16 +121,11 @@ constexpr Cycle startRetryDelay = 500'000;
 Mutex calibMu;
 std::map<std::string, double> calibMemo CMPQOS_GUARDED_BY(calibMu);
 
-/**
- * Memoized steady-state CPI of a benchmark running alone on a
- * @p ways-way partition (standing working set pre-filled). This is
- * how a user of a batch system knows a job's expected runtime: from
- * prior solo runs. tw derived from it is a realistic "maximum
- * wall-clock time" specification (Section 3.2).
- */
+} // namespace
+
 double
-calibratedSoloCpi(const std::string &benchmark, unsigned ways,
-                  const CmpConfig &cmp)
+QosFramework::soloCpi(const std::string &benchmark, unsigned ways,
+                      const CmpConfig &cmp)
 {
     const std::string key =
         benchmark + "/" + std::to_string(ways) + "/" +
@@ -145,31 +140,14 @@ calibratedSoloCpi(const std::string &benchmark, unsigned ways,
 
     CmpConfig cfg = cmp;
     cfg.chunkInstructions = 50'000;
-    CmpSystem sys(cfg);
-    Simulation sim(sys);
-    sys.l2().setTargetWays(0, ways);
-    sys.l2().setCoreClass(0, CoreClass::Reserved);
     const BenchmarkProfile &prof = BenchmarkRegistry::get(benchmark);
     // Enough instructions for ~150K L2 accesses of steady state.
     const InstCount n = static_cast<InstCount>(
         std::max(2e6, 150'000.0 / prof.h2));
-    JobExecution job(0, prof, n, 0xCA11Bu);
-    job.generator().forEachStandingBlock(
-        [&](Addr a) { sys.l2().access(0, a, false); });
-    sim.startJobOn(0, &job);
-    sim.run();
+    const double cpi = runSolo(cfg, prof, ways, n, 0xCA11Bu).cpi;
     MutexLock lock(calibMu);
-    calibMemo[key] = job.cpi();
-    return job.cpi();
-}
-
-} // namespace
-
-double
-QosFramework::soloCpi(const std::string &benchmark, unsigned ways,
-                      const CmpConfig &cmp)
-{
-    return calibratedSoloCpi(benchmark, ways, cmp);
+    calibMemo[key] = cpi;
+    return cpi;
 }
 
 Cycle
@@ -178,8 +156,7 @@ QosFramework::maxWallClockFor(const JobRequest &request,
 {
     const BenchmarkProfile &prof =
         BenchmarkRegistry::get(request.benchmark);
-    const double cpi =
-        calibratedSoloCpi(request.benchmark, request.ways, config_.cmp);
+    const double cpi = soloCpi(request.benchmark, request.ways, config_.cmp);
     // Warm-up allowance: the job's standing working set must be
     // fetched once (first-touch misses the steady-state CPI does not
     // charge). Bounded by the partition size and by the largest

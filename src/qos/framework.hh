@@ -197,9 +197,12 @@ class QosFramework
 
     /**
      * Memoized standalone CPI of @p benchmark on a @p ways-way
-     * partition under @p cmp — the measurement the feedback
-     * controller (src/control) derives dynamic SLO setpoints from,
-     * and the same calibration maxWallClockFor() builds tw on.
+     * partition under @p cmp (runSolo, standing set pre-filled) —
+     * the measurement the feedback controller (src/control) derives
+     * dynamic SLO setpoints from, and the calibration
+     * maxWallClockFor() builds tw on. Prior solo runs are how a batch
+     * user knows a job's runtime, so that tw is a realistic maximum
+     * wall-clock time (Section 3.2).
      */
     static double soloCpi(const std::string &benchmark, unsigned ways,
                           const CmpConfig &cmp);

@@ -31,33 +31,15 @@ Scheduler::reservedCores() const
 }
 
 CoreId
-Scheduler::pickReservedCore() const
+Scheduler::pickUnreservedCore(CoreId exclude) const
 {
-    // Prefer an unreserved core that is also idle; fall back to the
-    // unreserved core with the fewest queued pool jobs.
+    // The unreserved core with the shortest run queue; ties go to the
+    // lowest index, so an idle core wins whenever there is one.
     CoreId best = invalidCore;
     std::size_t best_len = 0;
     for (int c = 0; c < sys_.numCores(); ++c) {
-        if (reservedOn_[static_cast<std::size_t>(c)] != invalidJob)
-            continue;
-        const std::size_t len = sys_.queueLength(c);
-        if (len == 0)
-            return c;
-        if (best == invalidCore || len < best_len) {
-            best = c;
-            best_len = len;
-        }
-    }
-    return best;
-}
-
-CoreId
-Scheduler::pickPoolCore() const
-{
-    CoreId best = invalidCore;
-    std::size_t best_len = 0;
-    for (int c = 0; c < sys_.numCores(); ++c) {
-        if (reservedOn_[static_cast<std::size_t>(c)] != invalidJob)
+        if (c == exclude ||
+            reservedOn_[static_cast<std::size_t>(c)] != invalidJob)
             continue;
         const std::size_t len = sys_.queueLength(c);
         if (best == invalidCore || len < best_len) {
@@ -90,19 +72,8 @@ Scheduler::evictPoolJobs(CoreId core)
                       "pool core hosted an unknown job");
         Job *job = *it;
 
-        CoreId dest = invalidCore;
         // Any other unreserved core takes the migrant.
-        std::size_t best_len = 0;
-        for (int c = 0; c < sys_.numCores(); ++c) {
-            if (c == core ||
-                reservedOn_[static_cast<std::size_t>(c)] != invalidJob)
-                continue;
-            const std::size_t len = sys_.queueLength(c);
-            if (dest == invalidCore || len < best_len) {
-                dest = c;
-                best_len = len;
-            }
-        }
+        const CoreId dest = pickUnreservedCore(core);
         if (dest == invalidCore) {
             // Nowhere to run: park until a core frees up.
             poolJobs_.erase(it);
@@ -118,7 +89,7 @@ Scheduler::evictPoolJobs(CoreId core)
 CoreId
 Scheduler::startReserved(Job &job)
 {
-    const CoreId core = pickReservedCore();
+    const CoreId core = pickUnreservedCore();
     if (core == invalidCore)
         return invalidCore;
 
@@ -131,6 +102,12 @@ Scheduler::startReserved(Job &job)
     }
     if (reserved_ways + job.target().cacheWays > sys_.l2().config().assoc)
         return invalidCore;
+
+    // Unhook a promoted job from the pool (it may be parked rather
+    // than running); for a job that never joined it this is a no-op.
+    sys_.dequeueJob(job.exec());
+    std::erase(poolJobs_, &job);
+    std::erase(parked_, &job);
 
     evictPoolJobs(core);
     sys_.l2().setTargetWays(core, job.target().cacheWays);
@@ -148,7 +125,7 @@ void
 Scheduler::startOpportunistic(Job &job)
 {
     poolJobs_.push_back(&job);
-    const CoreId core = pickPoolCore();
+    const CoreId core = pickUnreservedCore();
     if (core == invalidCore) {
         // Every core is reserved right now; wait for one to free.
         poolJobs_.pop_back();
@@ -159,38 +136,6 @@ Scheduler::startOpportunistic(Job &job)
     markPoolCore(core);
     job.setState(JobState::Running);
     sim_.startJobOn(core, job.exec());
-}
-
-CoreId
-Scheduler::promote(Job &job)
-{
-    const CoreId core = pickReservedCore();
-    if (core == invalidCore)
-        return invalidCore;
-
-    unsigned reserved_ways = 0;
-    for (int c = 0; c < sys_.numCores(); ++c) {
-        if (reservedOn_[static_cast<std::size_t>(c)] != invalidJob)
-            reserved_ways += sys_.l2().targetWays(c);
-    }
-    if (reserved_ways + job.target().cacheWays > sys_.l2().config().assoc)
-        return invalidCore;
-
-    // Unhook from the pool (it may be parked rather than running).
-    sys_.dequeueJob(job.exec());
-    std::erase(poolJobs_, &job);
-    std::erase(parked_, &job);
-
-    evictPoolJobs(core);
-    sys_.l2().setTargetWays(core, job.target().cacheWays);
-    sys_.l2().setCoreClass(core, CoreClass::Reserved);
-    if (sys_.config().bandwidthPartitioning)
-        sys_.bandwidth()->setShare(core, job.target().bandwidthPercent);
-    reservedOn_[static_cast<std::size_t>(core)] = job.id();
-    job.assignedCore = core;
-    job.setState(JobState::Running);
-    sim_.startJobOn(core, job.exec());
-    return core;
 }
 
 void
@@ -265,7 +210,7 @@ void
 Scheduler::unpark()
 {
     while (!parked_.empty()) {
-        const CoreId core = pickPoolCore();
+        const CoreId core = pickUnreservedCore();
         if (core == invalidCore)
             return;
         Job *job = parked_.front();

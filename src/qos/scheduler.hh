@@ -33,9 +33,10 @@ class Scheduler
     /**
      * Start a Strict/Elastic job at its reserved slot: pick a core
      * with no reserved occupant (migrating opportunistic jobs off it
-     * if needed), set the core's way target, and pin the job.
-     * @return the chosen core, or invalidCore if none was free (the
-     *         caller should retry shortly; see header notes).
+     * if needed), set the core's way target, and pin the job. A job
+     * still in the opportunistic pool is unhooked from it first.
+     * @return the chosen core, or invalidCore if no core or not
+     *         enough ways were free (the caller retries shortly).
      */
     CoreId startReserved(Job &job);
 
@@ -44,10 +45,9 @@ class Scheduler
 
     /**
      * Switch an auto-downgraded job back to Strict at its reserved
-     * slot (Section 3.4): unhook it from the pool and pin it.
-     * @return the chosen core, or invalidCore if none free yet.
+     * slot (Section 3.4): the same pin path as startReserved.
      */
-    CoreId promote(Job &job);
+    CoreId promote(Job &job) { return startReserved(job); }
 
     /**
      * Manual downgrade to Opportunistic while running (Section 3.3):
@@ -69,11 +69,9 @@ class Scheduler
     JobId reservedOccupant(CoreId core) const;
 
   private:
-    /** Core without a reserved occupant, preferring idle ones. */
-    CoreId pickReservedCore() const;
-
-    /** Non-reserved core with the shortest run queue. */
-    CoreId pickPoolCore() const;
+    /** Non-reserved core other than @p exclude with the shortest
+     *  run queue; invalidCore if there is none. */
+    CoreId pickUnreservedCore(CoreId exclude = invalidCore) const;
 
     /** Mark a core as an opportunistic pool member in the L2. */
     void markPoolCore(CoreId core);

@@ -737,7 +737,15 @@ QosDaemon::handleSubmit(Session &s, const Submit &m)
     if (m.time != 0)
         time = std::max(m.time, lastTime_);
     else if (anySubmitted_)
-        time = lastTime_ + config_.arrivalGap;
+        time = lastTime_ +
+               std::min(config_.arrivalGap, maxCycle - lastTime_);
+    // Refused like an unknown benchmark: the engine never sees an
+    // arrival whose cycle arithmetic could overflow.
+    fail.error = arrivalBoundsError(time, instructions);
+    if (!fail.error.empty()) {
+        s.enqueue(fail);
+        return;
+    }
     lastTime_ = time;
     anySubmitted_ = true;
 

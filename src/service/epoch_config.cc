@@ -93,8 +93,10 @@ applyEpochDirective(EpochConfig &c, std::string_view key,
             return bad("want a positive cycle count");
         c.arrivalGap = u;
     } else if (key == "instructions") {
-        if (!parseU64(value, u) || u == 0)
-            return bad("want a positive instruction count");
+        // Every Submit that leaves instructions at 0 takes this
+        // count, so it obeys the same bounds as a Submit's own.
+        if (!parseU64(value, u) || !arrivalBoundsError(0, u).empty())
+            return bad("want an instruction count in [1, 2^40]");
         c.instructions = u;
     } else if (key == "check-invariants") {
         if (!parseBool(value, b))

@@ -294,9 +294,6 @@ DecodeResult decodeFrame(std::string_view buffer, WireMode mode,
  */
 WireMode detectWireMode(char first_byte);
 
-/** Parse "gold" / "silver" / "bronze"; false on anything else. */
-bool parseQosTier(std::string_view name, QosTier &out);
-
 } // namespace cmpqos
 
 #endif // CMPQOS_SERVICE_PROTOCOL_HH

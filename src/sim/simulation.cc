@@ -116,4 +116,20 @@ Simulation::run(Cycle until)
     }
 }
 
+SoloRun
+runSolo(const CmpConfig &cmp, const BenchmarkProfile &profile,
+        unsigned ways, InstCount instructions, std::uint64_t seed)
+{
+    CmpSystem sys(cmp);
+    Simulation sim(sys);
+    sys.l2().setTargetWays(0, ways);
+    sys.l2().setCoreClass(0, CoreClass::Reserved);
+    JobExecution job(0, profile, instructions, seed);
+    job.generator().forEachStandingBlock(
+        [&](Addr a) { sys.l2().access(0, a, false); });
+    sim.startJobOn(0, &job);
+    sim.run();
+    return {job.cpi(), job.missRate(), job.l2Misses, job.executed()};
+}
+
 } // namespace cmpqos

@@ -103,6 +103,27 @@ class Simulation
     std::uint64_t chunksExecuted_ = 0;
 };
 
+/** What one solo steady-state run measured (see runSolo). */
+struct SoloRun
+{
+    double cpi = 0.0;
+    double missRate = 0.0;
+    std::uint64_t l2Misses = 0;
+    InstCount executed = 0;
+};
+
+/**
+ * Run @p profile alone to completion on core 0 of a fresh CmpSystem
+ * built from @p cmp, reserved at @p ways ways, with the job's
+ * standing working set pre-filled first (the paper skips init phases
+ * and measures post-init windows). The tw calibration and the
+ * Table 1 / Figure 4 measurements all go through here; each caller
+ * keeps its own chunk size in @p cmp and its own @p seed.
+ */
+SoloRun runSolo(const CmpConfig &cmp, const BenchmarkProfile &profile,
+                unsigned ways, InstCount instructions,
+                std::uint64_t seed);
+
 } // namespace cmpqos
 
 #endif // CMPQOS_SIM_SIMULATION_HH

@@ -143,6 +143,10 @@ struct TraceEvent
         std::memcpy(name, s.data(), n);
         name[n] = '\0';
     }
+
+    /** Field-wise equality. `name` compares all 48 bytes, which is
+     *  exact for events whose name was set at most once. */
+    bool operator==(const TraceEvent &) const = default;
 };
 
 // The SPSC ring assumes events are raw-copyable PODs: tryPush is a

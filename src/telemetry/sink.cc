@@ -42,58 +42,40 @@ spanId(const TraceEvent &e)
            static_cast<std::uint32_t>(e.job);
 }
 
+/** `,"key":value` for each payload field @p e's type names, in
+ *  payloadKeys order: the body both JSON exporters write. */
 std::string
-argsJson(const TraceEvent &e)
+payloadJson(const TraceEvent &e)
 {
     const TracePayloadKeys &k = payloadKeys(e.type);
-    std::string s = "{";
-    auto add = [&](const std::string &field) {
-        if (s.size() > 1)
-            s += ',';
-        s += field;
-    };
+    std::string s;
     if (k.a != nullptr)
-        add("\"" + std::string(k.a) + "\":" + std::to_string(e.a));
+        s += ",\"" + std::string(k.a) + "\":" + std::to_string(e.a);
     if (k.b != nullptr)
-        add("\"" + std::string(k.b) + "\":" + std::to_string(e.b));
+        s += ",\"" + std::string(k.b) + "\":" + std::to_string(e.b);
     if (k.x != nullptr)
-        add("\"" + std::string(k.x) + "\":" + num(e.x));
+        s += ",\"" + std::string(k.x) + "\":" + num(e.x);
     if (k.name != nullptr)
-        add("\"" + std::string(k.name) + "\":\"" + escapeJson(e.name) +
-            "\"");
-    s += '}';
+        s += ",\"" + std::string(k.name) + "\":\"" + escapeJson(e.name) +
+             "\"";
     return s;
 }
 
-} // namespace
-
 std::string
-escapeJson(std::string_view s)
+argsJson(const TraceEvent &e)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char ch : s) {
-        const auto c = static_cast<unsigned char>(ch);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
+    const std::string body = payloadJson(e);
+    return "{" + (body.empty() ? body : body.substr(1)) + "}";
 }
+
+/** Parse @p line as one JSON object and read its "ev" name. */
+bool
+readLine(std::string_view line, JsonObject &obj, std::string &ev)
+{
+    return obj.parse(line) && obj.get("ev", ev) == JsonField::Ok;
+}
+
+} // namespace
 
 JsonlTraceSink::JsonlTraceSink(std::ostream &os) : os_(os) {}
 
@@ -105,18 +87,55 @@ JsonlTraceSink::formatLine(const TraceEvent &e)
     line += "\",\"t\":" + std::to_string(e.time);
     line += ",\"node\":" + std::to_string(e.node);
     line += ",\"job\":" + std::to_string(e.job);
-    const TracePayloadKeys &k = payloadKeys(e.type);
-    if (k.a != nullptr)
-        line += ",\"" + std::string(k.a) + "\":" + std::to_string(e.a);
-    if (k.b != nullptr)
-        line += ",\"" + std::string(k.b) + "\":" + std::to_string(e.b);
-    if (k.x != nullptr)
-        line += ",\"" + std::string(k.x) + "\":" + num(e.x);
-    if (k.name != nullptr)
-        line += ",\"" + std::string(k.name) + "\":\"" +
-                escapeJson(e.name) + "\"";
+    line += payloadJson(e);
     line += '}';
     return line;
+}
+
+bool
+JsonlTraceSink::parseLine(std::string_view line, TraceEvent &out)
+{
+    JsonObject obj;
+    std::string ev;
+    TraceEvent e;
+    if (!readLine(line, obj, ev) || !traceEventFromName(ev, e.type))
+        return false;
+    const TracePayloadKeys &k = payloadKeys(e.type);
+    auto has = [&](const char *key, auto &field) {
+        return key == nullptr || obj.get(key, field) == JsonField::Ok;
+    };
+    std::string name;
+    if (!has("t", e.time) || !has("node", e.node) || !has("job", e.job) ||
+        !has(k.a, e.a) || !has(k.b, e.b) || !has(k.x, e.x) ||
+        !has(k.name, name))
+        return false;
+    // formatLine writes the NUL-terminated name, so it never holds a
+    // NUL or more bytes than the field keeps.
+    if (name.size() >= sizeof(e.name) ||
+        name.find('\0') != std::string::npos)
+        return false;
+    e.setName(name);
+    out = e;
+    return true;
+}
+
+bool
+JsonlTraceSink::parseMetaLine(std::string_view line, TraceMeta &out)
+{
+    JsonObject obj;
+    std::string ev;
+    TraceMeta m;
+    if (!readLine(line, obj, ev) || ev != "meta")
+        return false;
+    auto has = [&](const char *key, auto &field) {
+        return obj.get(key, field) == JsonField::Ok;
+    };
+    if (!has("seed", m.seed) || !has("nodes", m.nodes) ||
+        !has("threads", m.threads) || !has("events", m.events) ||
+        !has("drops", m.drops) || !has("wall_seconds", m.wallSeconds))
+        return false;
+    out = m;
+    return true;
 }
 
 void

@@ -4,11 +4,14 @@
  *
  * Two concrete exporters are provided. JsonlTraceSink writes one
  * self-describing JSON object per line (payload fields named per
- * event type — the format tools/telemetry_dump consumes), ending with
- * a single `"ev":"meta"` line that carries ALL host-side values
- * (wall-clock seconds, worker-thread count, drop totals). Event lines
- * contain only simulation-determined fields, which is what makes a
- * captured event stream byte-identical across worker-thread counts.
+ * event type), ending with a single `"ev":"meta"` line that carries
+ * ALL host-side values (wall-clock seconds, worker-thread count, drop
+ * totals). Event lines contain only simulation-determined fields,
+ * which is what makes a captured event stream byte-identical across
+ * worker-thread counts. The sink also owns reading the format back:
+ * parseLine and parseMetaLine invert formatLine and the meta trailer
+ * over the same payloadKeys table, and tools/telemetry_dump loads
+ * captures through them.
  *
  * ChromeTraceSink writes the Chrome trace-event JSON object format —
  * open the file in chrome://tracing or https://ui.perfetto.dev. Each
@@ -29,13 +32,11 @@
 #include <string>
 #include <string_view>
 
+#include "common/json.hh"
 #include "telemetry/event.hh"
 
 namespace cmpqos
 {
-
-/** Escape a string for inclusion in a JSON string literal. */
-std::string escapeJson(std::string_view s);
 
 /** Host-side run summary passed to sinks when a capture closes. */
 struct TraceMeta
@@ -80,6 +81,20 @@ class JsonlTraceSink : public TraceSink
 
     /** Format one event as a JSONL line (no trailing newline). */
     static std::string formatLine(const TraceEvent &e);
+
+    /**
+     * The inverse of formatLine: parse one event line into @p out.
+     * False, leaving @p out untouched, unless the line is one JSON
+     * object naming a known event and carrying every key formatLine
+     * writes for it, each within its field's range. A line whose `x`
+     * is not finite (formatLine would write `nan` or `inf`) is not
+     * JSON and so is refused too.
+     */
+    static bool parseLine(std::string_view line, TraceEvent &out);
+
+    /** The inverse of close()'s trailer: parse a `"ev":"meta"` line
+     *  into @p out; false, leaving @p out untouched, otherwise. */
+    static bool parseMetaLine(std::string_view line, TraceMeta &out);
 
   private:
     std::ostream &os_;

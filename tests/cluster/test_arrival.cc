@@ -157,5 +157,57 @@ TEST(TraceArrival, ReplaysLinesInOrder)
     EXPECT_FALSE(p.next().has_value());
 }
 
+TEST(Arrival, ParseQosTierInvertsQosTierName)
+{
+    for (std::size_t i = 0; i < numQosTiers; ++i) {
+        const auto tier = static_cast<QosTier>(i);
+        QosTier parsed = tier == QosTier::Gold ? QosTier::Bronze
+                                               : QosTier::Gold;
+        EXPECT_TRUE(parseQosTier(qosTierName(tier), parsed));
+        EXPECT_EQ(parsed, tier);
+    }
+    QosTier t = QosTier::Gold;
+    EXPECT_FALSE(parseQosTier("Gold", t));
+    EXPECT_FALSE(parseQosTier("?", t));
+}
+
+TEST(Arrival, BoundsRefuseOverflowingArrivals)
+{
+    EXPECT_EQ(arrivalBoundsError(0, 1), "");
+    EXPECT_EQ(arrivalBoundsError(maxArrivalTime, maxArrivalInstructions),
+              "");
+    EXPECT_NE(arrivalBoundsError(maxArrivalTime + 1, 1), "");
+    EXPECT_NE(arrivalBoundsError(0, 0), "");
+    EXPECT_NE(arrivalBoundsError(0, maxArrivalInstructions + 1), "");
+}
+
+void
+parseTrace(const char *text)
+{
+    std::istringstream in(text);
+    TraceArrivalProcess p(in, ArrivalMix::defaults(), "storm.trace");
+}
+
+TEST(TraceArrivalDeathTest, OutOfRangeArrivalsAreFatal)
+{
+    using ::testing::ExitedWithCode;
+    EXPECT_EXIT(parseTrace("0 bzip2 gold\n"
+                           "18446744073709551615 bzip2 gold\n"),
+                ExitedWithCode(1),
+                "storm.trace:2: arrival time 18446744073709551615");
+    EXPECT_EXIT(parseTrace("99999999999999999999 bzip2 gold\n"),
+                ExitedWithCode(1), "storm.trace:1: arrival time");
+    EXPECT_EXIT(parseTrace("0 bzip2 gold 18446744073709551615\n"),
+                ExitedWithCode(1),
+                "storm.trace:1: instruction count 18446744073709551615");
+    EXPECT_EXIT(parseTrace("# header\n0 bzip2 gold 0\n"),
+                ExitedWithCode(1), "storm.trace:2: instruction count 0");
+    // The Poisson process checks its mix's count the same way.
+    ArrivalMix mix = ArrivalMix::defaults();
+    mix.instructions = 0;
+    EXPECT_EXIT(PoissonArrivalProcess(1000.0, mix, 1, 1),
+                ExitedWithCode(1), "arrival mix: instruction count 0");
+}
+
 } // namespace
 } // namespace cmpqos

@@ -305,6 +305,49 @@ TEST(Daemon, RefusedSubmissionsNeverTouchTheJournal)
               done.fingerprint);
 }
 
+/** Submit @p bad between two good submits, then drain; the drain's
+ *  fingerprint. Each bad submit must be refused with an error. */
+std::string
+fingerprintAround(const std::vector<Submit> &bad)
+{
+    DaemonHarness h(smallEpoch());
+    EXPECT_TRUE(h.started());
+    QosClient client(h.clientOptions());
+    std::string err;
+    EXPECT_TRUE(client.connect(err)) << err;
+    SubmitReply reply;
+    EXPECT_TRUE(client.submit(makeSubmit(1), reply, err)) << err;
+    EXPECT_TRUE(reply.error.empty()) << reply.error;
+    for (const Submit &m : bad) {
+        EXPECT_TRUE(client.submit(m, reply, err)) << err;
+        EXPECT_FALSE(reply.error.empty())
+            << "time " << m.time << " instructions " << m.instructions
+            << " was not refused";
+    }
+    // The daemon keeps serving after a refusal.
+    EXPECT_TRUE(client.submit(makeSubmit(2), reply, err)) << err;
+    EXPECT_TRUE(reply.error.empty()) << reply.error;
+    DrainDone done;
+    EXPECT_TRUE(client.drain(true, done, err)) << err;
+    h.join();
+    EXPECT_EQ(done.submitted, 2u);
+    EXPECT_EQ(journalArrivalLines(h.journalPathFor(0)), 2u);
+    return done.fingerprint;
+}
+
+TEST(Daemon, OutOfRangeSubmitsAreRefused)
+{
+    // Values whose cycle arithmetic would overflow in the engine or
+    // the LAC: refused like an unknown benchmark, never journaled.
+    Submit late = makeSubmit(7);
+    late.time = 18446744073709551615ULL;
+    Submit huge = makeSubmit(8);
+    huge.instructions = 18446744073709551615ULL;
+    const std::string clean = fingerprintAround({});
+    ASSERT_FALSE(clean.empty());
+    EXPECT_EQ(fingerprintAround({late, huge}), clean);
+}
+
 TEST(Daemon, SubscriberReceivesEventStream)
 {
     DaemonHarness h(smallEpoch());

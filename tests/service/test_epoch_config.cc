@@ -53,6 +53,7 @@ TEST(EpochConfig, BadValuesAreNamedAndLeaveConfigUntouched)
         {"elastic-x", "1.5"},    {"elastic-x", "-0.1"},
         {"elastic-x", "lots"},   {"arrival-gap", "0"},
         {"instructions", "0"},   {"check-invariants", "2"},
+        {"instructions", "1099511627777"},
         {"no-such-key", "1"},
     };
     for (const Case &k : cases) {

@@ -220,6 +220,37 @@ TEST(Protocol, NestedJsonIsRejected)
     EXPECT_EQ(r.status, DecodeResult::Status::Error);
 }
 
+TEST(Protocol, OutOfRangeJsonlNumbersAreErrors)
+{
+    // An integer field takes an integer token within its type: no
+    // exponent, no fraction, no saturation, no wrap-around.
+    for (const char *line : {
+             "{\"op\":\"submit-reply\",\"node\":1e300}\n",
+             "{\"op\":\"submit-reply\",\"node\":2147483648}\n",
+             "{\"op\":\"submit-reply\",\"node\":-2147483649}\n",
+             "{\"op\":\"submit\",\"time\":18446744073709551616}\n",
+             "{\"op\":\"submit\",\"time\":-1}\n",
+             "{\"op\":\"submit\",\"time\":1.5}\n",
+             "{\"op\":\"submit\",\"tier\":256}\n",
+             "{\"op\":\"submit\",\"ticket\":4294967296}\n",
+             "{\"op\":\"submit-reply\",\"deadline_factor\":1e400}\n",
+             "{\"op\":\"submit\",\"time\":01}\n",
+         }) {
+        const DecodeResult r = decodeFrame(line, WireMode::Jsonl);
+        EXPECT_EQ(r.status, DecodeResult::Status::Error) << line;
+    }
+    const DecodeResult edge = decodeFrame(
+        "{\"op\":\"submit-reply\",\"node\":-2147483648,"
+        "\"time\":18446744073709551615,\"deadline_factor\":2}\n",
+        WireMode::Jsonl);
+    ASSERT_EQ(edge.status, DecodeResult::Status::Ok) << edge.error;
+    const auto *reply = std::get_if<SubmitReply>(&edge.message);
+    ASSERT_NE(reply, nullptr);
+    EXPECT_EQ(reply->node, -2147483648LL);
+    EXPECT_EQ(reply->time, 18446744073709551615ULL);
+    EXPECT_EQ(reply->deadlineFactor, 2.0);
+}
+
 TEST(Protocol, TruncationFuzzNeverCrashes)
 {
     // Every prefix of every frame, decoded as BOTH modes: anything

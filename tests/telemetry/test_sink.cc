@@ -3,12 +3,16 @@
  * Exporter escaping tests: hostile benchmark / reason strings (quotes,
  * backslashes, control characters) must not corrupt the JSONL or
  * Chrome streams. Includes a deterministic fuzz loop that round-trips
- * random hostile names through formatLine and a JSON string decoder.
+ * random hostile names through formatLine and a JSON string decoder,
+ * and the capture reader's round trips: parseLine inverts formatLine
+ * and parseMetaLine inverts the meta trailer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -150,6 +154,143 @@ TEST(JsonlTraceSink, ReasonStringsEscapedToo)
     std::string decoded;
     ASSERT_TRUE(extractString(line, "reason", decoded));
     EXPECT_EQ(decoded, "quota \"gold\" exceeded\n");
+}
+
+/** An event carrying every field formatLine writes for @p type;
+ *  the fields it does not write keep their defaults. */
+TraceEvent
+fullEvent(TraceEventType type, std::int16_t node, const std::string &name,
+          double x)
+{
+    TraceEvent e = traceEvent(type, 18446744073709551615ULL, -1);
+    e.node = node;
+    const TracePayloadKeys &k = payloadKeys(type);
+    if (k.a != nullptr)
+        e.a = 18446744073709551615ULL;
+    if (k.b != nullptr)
+        e.b = 42;
+    if (k.x != nullptr)
+        e.x = x;
+    if (k.name != nullptr)
+        e.setName(name);
+    return e;
+}
+
+/** parseLine(formatLine(e)) == e, and formatting it again is exact. */
+void
+expectRoundTrip(const TraceEvent &e)
+{
+    const std::string line = JsonlTraceSink::formatLine(e);
+    TraceEvent back;
+    ASSERT_TRUE(JsonlTraceSink::parseLine(line, back)) << line;
+    EXPECT_EQ(back, e) << line;
+    EXPECT_EQ(JsonlTraceSink::formatLine(back), line);
+}
+
+TEST(JsonlTraceSink, ParseLineInvertsFormatLine)
+{
+    // Every event type, driver-side (node -1) and node-side, hostile
+    // names from the fuzz alphabet above, and x values of nine
+    // significant digits (what formatLine's %.9g keeps).
+    const std::string alphabet =
+        "\"\\\x01\x02\x08\x09\x0a\x0d\x1f{}[]:,/ abcZ\x7f";
+    std::uint64_t state = 0x2545f4914f6cdd1dULL;
+    auto next = [&]() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (std::size_t t = 0; t < numTraceEventTypes; ++t) {
+        const auto type = static_cast<TraceEventType>(t);
+        for (const std::int16_t node : {-1, 0, 32767}) {
+            for (int round = 0; round < 20; ++round) {
+                std::string name;
+                const std::size_t len = next() % (sizeof(TraceEvent::name));
+                for (std::size_t i = 0; i < len; ++i)
+                    name += alphabet[next() % alphabet.size()];
+                char digits[40];
+                std::snprintf(digits, sizeof(digits), "%s%llue%d",
+                              next() % 2 ? "-" : "",
+                              100'000'000ULL + next() % 900'000'000ULL,
+                              static_cast<int>(next() % 600) - 300);
+                expectRoundTrip(
+                    fullEvent(type, node, name, std::strtod(digits, nullptr)));
+            }
+        }
+        TraceEvent e = fullEvent(type, -32768, "", 0.0);
+        e.job = 2147483647;
+        e.time = 0;
+        expectRoundTrip(e);
+    }
+}
+
+TEST(JsonlTraceSink, ParseLineRefusesWhatFormatLineCannotWrite)
+{
+    const TraceEvent e =
+        fullEvent(TraceEventType::WayStolen, 3, "", 0.25);
+    const std::string good = JsonlTraceSink::formatLine(e);
+    TraceEvent back;
+    ASSERT_TRUE(JsonlTraceSink::parseLine(good, back)) << good;
+    auto refused = [&](std::string line) {
+        TraceEvent out = e;
+        out.job = 99;
+        const bool ok = JsonlTraceSink::parseLine(line, out);
+        EXPECT_FALSE(ok) << line;
+        EXPECT_EQ(out.job, 99) << "a refused line must not touch out";
+    };
+    // A non-finite x is written as nan/inf, which is not JSON.
+    TraceEvent inf = e;
+    inf.x = std::numeric_limits<double>::infinity();
+    refused(JsonlTraceSink::formatLine(inf));
+    TraceEvent nan = e;
+    nan.x = std::numeric_limits<double>::quiet_NaN();
+    refused(JsonlTraceSink::formatLine(nan));
+    // Out of range for the field, missing keys, unknown events.
+    refused("{\"ev\":\"way-stolen\",\"t\":1,\"node\":32768,\"job\":0,"
+            "\"core\":0,\"stolen_total\":1,\"miss_increase\":0}");
+    refused("{\"ev\":\"way-stolen\",\"t\":-1,\"node\":0,\"job\":0,"
+            "\"core\":0,\"stolen_total\":1,\"miss_increase\":0}");
+    refused("{\"ev\":\"way-stolen\",\"t\":1,\"node\":0,\"job\":0,"
+            "\"core\":0,\"miss_increase\":0}");
+    refused("{\"ev\":\"way-stole\",\"t\":1,\"node\":0,\"job\":0}");
+    refused(good.substr(0, good.size() - 1));
+    // A name longer than the event keeps, or one holding a NUL.
+    refused("{\"ev\":\"job-rejected\",\"t\":1,\"node\":0,\"job\":0,"
+            "\"reason\":\"" + std::string(sizeof(TraceEvent::name), 'r') +
+            "\"}");
+    refused("{\"ev\":\"job-rejected\",\"t\":1,\"node\":0,\"job\":0,"
+            "\"reason\":\"a\\u0000b\"}");
+    // The meta trailer is not an event, and an event is not a meta line.
+    TraceMeta meta;
+    EXPECT_FALSE(JsonlTraceSink::parseMetaLine(good, meta));
+    refused("{\"ev\":\"meta\",\"seed\":1,\"nodes\":1,\"threads\":1,"
+            "\"events\":0,\"drops\":0,\"wall_seconds\":0}");
+}
+
+TEST(JsonlTraceSink, ParseMetaLineInvertsTheTrailer)
+{
+    TraceMeta meta;
+    meta.seed = 18446744073709551615ULL;
+    meta.nodes = 16;
+    meta.threads = 4;
+    meta.drops = 3;
+    meta.events = 123456;
+    meta.wallSeconds = 12.3456789;
+    std::ostringstream os;
+    JsonlTraceSink sink(os);
+    sink.close(meta);
+    std::string line = os.str();
+    ASSERT_EQ(line.back(), '\n');
+    line.pop_back();
+    TraceMeta back;
+    ASSERT_TRUE(JsonlTraceSink::parseMetaLine(line, back)) << line;
+    EXPECT_EQ(back.seed, meta.seed);
+    EXPECT_EQ(back.nodes, meta.nodes);
+    EXPECT_EQ(back.threads, meta.threads);
+    EXPECT_EQ(back.drops, meta.drops);
+    EXPECT_EQ(back.events, meta.events);
+    EXPECT_EQ(back.wallSeconds, meta.wallSeconds);
 }
 
 TEST(ChromeTraceSink, HostileNamesDoNotCorruptStream)

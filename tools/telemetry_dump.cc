@@ -25,138 +25,17 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/build_info.hh"
 #include "common/logging.hh"
-#include "telemetry/event.hh"
+#include "telemetry/sink.hh"
 
 using namespace cmpqos;
 
 namespace
 {
-
-/** One parsed JSONL line: flat string->raw-value map. */
-struct Record
-{
-    std::map<std::string, std::string> fields;
-    TraceEventType type = TraceEventType::JobSubmitted;
-    bool isMeta = false;
-    long long node = -1;
-    long long job = -1;
-    unsigned long long time = 0;
-
-    const std::string &
-    field(const std::string &key) const
-    {
-        static const std::string empty;
-        auto it = fields.find(key);
-        return it == fields.end() ? empty : it->second;
-    }
-};
-
-/**
- * Minimal parser for the flat JSON objects the JsonlTraceSink emits:
- * string values (with standard escapes) and bare number tokens only.
- * @return false on malformed input.
- */
-bool
-parseLine(const std::string &line, Record &out)
-{
-    std::size_t i = 0;
-    auto skipWs = [&]() {
-        while (i < line.size() &&
-               (line[i] == ' ' || line[i] == '\t'))
-            ++i;
-    };
-    auto parseString = [&](std::string &s) -> bool {
-        if (i >= line.size() || line[i] != '"')
-            return false;
-        ++i;
-        s.clear();
-        while (i < line.size() && line[i] != '"') {
-            char c = line[i];
-            if (c == '\\') {
-                if (++i >= line.size())
-                    return false;
-                switch (line[i]) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'b': c = '\b'; break;
-                  case 'f': c = '\f'; break;
-                  case 'n': c = '\n'; break;
-                  case 'r': c = '\r'; break;
-                  case 't': c = '\t'; break;
-                  case 'u': {
-                    if (i + 4 >= line.size())
-                        return false;
-                    c = static_cast<char>(std::strtoul(
-                        line.substr(i + 1, 4).c_str(), nullptr, 16));
-                    i += 4;
-                    break;
-                  }
-                  default: return false;
-                }
-            }
-            s += c;
-            ++i;
-        }
-        if (i >= line.size())
-            return false;
-        ++i; // closing quote
-        return true;
-    };
-
-    skipWs();
-    if (i >= line.size() || line[i] != '{')
-        return false;
-    ++i;
-    out.fields.clear();
-    while (true) {
-        skipWs();
-        if (i < line.size() && line[i] == '}')
-            break;
-        std::string key, value;
-        if (!parseString(key))
-            return false;
-        skipWs();
-        if (i >= line.size() || line[i] != ':')
-            return false;
-        ++i;
-        skipWs();
-        if (i < line.size() && line[i] == '"') {
-            if (!parseString(value))
-                return false;
-        } else {
-            const std::size_t start = i;
-            while (i < line.size() && line[i] != ',' && line[i] != '}')
-                ++i;
-            value = line.substr(start, i - start);
-            while (!value.empty() && value.back() == ' ')
-                value.pop_back();
-        }
-        out.fields[key] = value;
-        skipWs();
-        if (i < line.size() && line[i] == ',') {
-            ++i;
-            continue;
-        }
-        break;
-    }
-
-    const std::string &ev = out.field("ev");
-    if (ev == "meta") {
-        out.isMeta = true;
-        return true;
-    }
-    if (!traceEventFromName(ev, out.type))
-        return false;
-    out.node = std::atoll(out.field("node").c_str());
-    out.job = std::atoll(out.field("job").c_str());
-    out.time = std::strtoull(out.field("t").c_str(), nullptr, 10);
-    return true;
-}
 
 /** Cycles at the simulated 2GHz clock, human-scaled. */
 std::string
@@ -169,8 +48,8 @@ cyc(unsigned long long t)
 
 struct Capture
 {
-    std::vector<Record> events;
-    Record meta;
+    std::vector<TraceEvent> events;
+    TraceMeta meta;
     bool hasMeta = false;
     /** Driver arrival seq -> indices of its driver-side events. */
     std::map<long long, std::vector<std::size_t>> bySeq;
@@ -194,44 +73,45 @@ load(const std::string &path)
         ++lineno;
         if (line.empty())
             continue;
-        Record r;
-        if (!parseLine(line, r)) {
-            std::fprintf(stderr, "warning: skipping malformed line %zu\n",
-                         lineno);
-            continue;
-        }
-        if (r.isMeta) {
-            cap.meta = r;
-            cap.hasMeta = true;
+        TraceEvent e;
+        if (!JsonlTraceSink::parseLine(line, e)) {
+            if (JsonlTraceSink::parseMetaLine(line, cap.meta))
+                cap.hasMeta = true;
+            else
+                std::fprintf(stderr,
+                             "warning: skipping malformed line %zu\n",
+                             lineno);
             continue;
         }
         const std::size_t idx = cap.events.size();
-        if (r.node < 0) {
-            cap.bySeq[r.job].push_back(idx);
-            if (r.type == TraceEventType::ArrivalPlaced)
-                cap.placement[r.job] = {
-                    std::atoll(r.field("target_node").c_str()),
-                    std::atoll(r.field("local_job").c_str())};
+        if (e.node < 0) {
+            cap.bySeq[e.job].push_back(idx);
+            if (e.type == TraceEventType::ArrivalPlaced)
+                cap.placement[e.job] = {static_cast<long long>(e.a),
+                                        static_cast<long long>(e.b)};
         } else {
-            cap.byNodeJob[{r.node, r.job}].push_back(idx);
+            cap.byNodeJob[{e.node, e.job}].push_back(idx);
         }
-        cap.events.push_back(std::move(r));
+        cap.events.push_back(e);
     }
     return cap;
 }
 
 /** Render one event as a timeline row. */
 void
-printEvent(const Record &r)
+printEvent(const TraceEvent &e)
 {
-    std::printf("  t=%-12s %-15s", cyc(r.time).c_str(),
-                traceEventName(r.type));
-    const TracePayloadKeys &k = payloadKeys(r.type);
-    for (const char *key : {k.a, k.b, k.x, k.name}) {
-        if (key == nullptr)
-            continue;
-        std::printf(" %s=%s", key, r.field(key).c_str());
-    }
+    std::printf("  t=%-12s %-15s", cyc(e.time).c_str(),
+                traceEventName(e.type));
+    const TracePayloadKeys &k = payloadKeys(e.type);
+    if (k.a != nullptr)
+        std::printf(" %s=%llu", k.a, static_cast<unsigned long long>(e.a));
+    if (k.b != nullptr)
+        std::printf(" %s=%llu", k.b, static_cast<unsigned long long>(e.b));
+    if (k.x != nullptr)
+        std::printf(" %s=%.9g", k.x, e.x);
+    if (k.name != nullptr)
+        std::printf(" %s=%s", k.name, e.name);
     std::printf("\n");
 }
 
@@ -243,11 +123,13 @@ printJob(const Capture &cap, long long seq)
         std::printf("arrival %lld: no driver events in capture\n", seq);
         return;
     }
-    const Record &sub = cap.events[it->second.front()];
+    const TraceEvent &first = cap.events[it->second.front()];
+    const char *name_key = payloadKeys(first.type).name;
+    const bool has_benchmark = name_key != nullptr &&
+                               std::string_view(name_key) == "benchmark" &&
+                               first.name[0] != '\0';
     std::printf("arrival %lld (%s)\n", seq,
-                sub.field("benchmark").empty()
-                    ? "?"
-                    : sub.field("benchmark").c_str());
+                has_benchmark ? first.name : "?");
     for (const std::size_t idx : it->second)
         printEvent(cap.events[idx]);
     auto pl = cap.placement.find(seq);
@@ -271,13 +153,12 @@ printSummary(const Capture &cap)
     std::printf("%zu events, %zu arrivals\n", cap.events.size(),
                 cap.bySeq.size());
     if (cap.hasMeta)
-        std::printf("meta: seed=%s nodes=%s threads=%s drops=%s "
-                    "wall_seconds=%s\n",
-                    cap.meta.field("seed").c_str(),
-                    cap.meta.field("nodes").c_str(),
-                    cap.meta.field("threads").c_str(),
-                    cap.meta.field("drops").c_str(),
-                    cap.meta.field("wall_seconds").c_str());
+        std::printf("meta: seed=%llu nodes=%d threads=%u drops=%llu "
+                    "wall_seconds=%.9g\n",
+                    static_cast<unsigned long long>(cap.meta.seed),
+                    cap.meta.nodes, cap.meta.threads,
+                    static_cast<unsigned long long>(cap.meta.drops),
+                    cap.meta.wallSeconds);
     std::printf("events by type:\n");
     for (const auto &[name, count] : byType)
         std::printf("  %6zu  %s\n", count, name.c_str());
@@ -292,33 +173,43 @@ printRejections(const Capture &cap)
         if (r.type != TraceEventType::JobRejected)
             continue;
         ++total;
-        ++reasons[r.field("reason")];
+        ++reasons[r.name];
     }
     std::printf("%zu rejections\n", total);
     for (const auto &[reason, count] : reasons)
         std::printf("  %6zu  %s\n", count, reason.c_str());
 }
 
-void
-printSteals(const Capture &cap)
+/** Per-(node, local job) timelines of the events @p keep selects;
+ *  false when nothing matched. */
+template <typename Keep>
+bool
+printTimelines(const Capture &cap, Keep keep)
 {
     bool any = false;
     for (const auto &[key, indices] : cap.byNodeJob) {
-        std::vector<std::size_t> relevant;
+        bool header = false;
         for (const std::size_t idx : indices) {
-            const TraceEventType t = cap.events[idx].type;
-            if (t == TraceEventType::WayStolen ||
-                t == TraceEventType::WayReturned ||
-                t == TraceEventType::StealCancelled)
-                relevant.push_back(idx);
-        }
-        if (relevant.empty())
-            continue;
-        any = true;
-        std::printf("node %lld, job %lld:\n", key.first, key.second);
-        for (const std::size_t idx : relevant)
+            if (!keep(cap.events[idx].type))
+                continue;
+            if (!header)
+                std::printf("node %lld, job %lld:\n", key.first,
+                            key.second);
+            header = any = true;
             printEvent(cap.events[idx]);
+        }
     }
+    return any;
+}
+
+void
+printSteals(const Capture &cap)
+{
+    const bool any = printTimelines(cap, [](TraceEventType t) {
+        return t == TraceEventType::WayStolen ||
+               t == TraceEventType::WayReturned ||
+               t == TraceEventType::StealCancelled;
+    });
     if (!any)
         std::printf("no steal activity in capture\n");
 }
@@ -371,25 +262,15 @@ printController(const Capture &cap)
             continue;
         ++total;
         if (r.type == TraceEventType::ControllerRetune)
-            ++byKnob[r.field("knob")];
+            ++byKnob[r.name];
     }
     std::printf("%zu controller events\n", total);
     for (const auto &[knob, count] : byKnob)
         std::printf("  %6zu  %s\n", count, knob.c_str());
 
     // Per-job retune timelines, in (node, local job) order. Frequency
-    // residue resets carry job=-1 and are listed per node at the end.
-    for (const auto &[key, indices] : cap.byNodeJob) {
-        std::vector<std::size_t> relevant;
-        for (const std::size_t idx : indices)
-            if (isControl(cap.events[idx].type))
-                relevant.push_back(idx);
-        if (relevant.empty())
-            continue;
-        std::printf("node %lld, job %lld:\n", key.first, key.second);
-        for (const std::size_t idx : relevant)
-            printEvent(cap.events[idx]);
-    }
+    // residue resets carry job=-1 and are listed per node first.
+    printTimelines(cap, isControl);
     if (total == 0)
         std::printf("no controller activity in capture\n");
 }
