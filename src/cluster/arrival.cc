@@ -80,8 +80,10 @@ PoissonArrivalProcess::PoissonArrivalProcess(double mean_interarrival,
     : meanInterarrival_(mean_interarrival), mix_(std::move(mix)),
       rng_(seed), maxJobs_(max_jobs)
 {
-    cmpqos_assert(mean_interarrival > 0.0,
-                  "mean inter-arrival time must be positive");
+    if (!(mean_interarrival > 0.0) || !std::isfinite(mean_interarrival))
+        cmpqos_fatal("mean inter-arrival time %g is not a positive, "
+                     "finite cycle count",
+                     mean_interarrival);
     cmpqos_assert(!mix_.benchmarks.empty(),
                   "arrival mix has no benchmarks");
     for (const auto &b : mix_.benchmarks) {
@@ -107,6 +109,13 @@ PoissonArrivalProcess::next()
         return std::nullopt;
     ++emitted_;
     clock_ += rng_.exponential(meanInterarrival_);
+    if (clock_ > static_cast<double>(maxArrivalTime))
+        cmpqos_fatal("Poisson arrival %llu at mean inter-arrival %g "
+                     "cycles lands beyond the largest accepted time, "
+                     "%llu cycles",
+                     static_cast<unsigned long long>(emitted_),
+                     meanInterarrival_,
+                     static_cast<unsigned long long>(maxArrivalTime));
 
     const std::size_t bench =
         mix_.benchmarkWeights.empty()

@@ -136,7 +136,9 @@ class PoissonArrivalProcess : public ArrivalProcess
 {
   public:
     /**
-     * @param mean_interarrival Mean gap between arrivals, cycles.
+     * @param mean_interarrival Mean gap between arrivals, cycles; a
+     *        positive, finite value (fatal otherwise). next() is fatal
+     *        once the clock passes maxArrivalTime.
      * @param max_jobs Stream length (stream is infinite if 0 — pair
      *        with ClusterEngine::runForDuration).
      */

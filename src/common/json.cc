@@ -1,5 +1,6 @@
 #include "json.hh"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +49,29 @@ escapeJson(std::string_view s)
         }
     }
     return out;
+}
+
+bool
+readNumber(std::string_view text, double &out)
+{
+    // strtod would skip leading space and needs a terminated string.
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+        return false;
+    const std::string s(text);
+    char *end = nullptr;
+    const double x = std::strtod(s.c_str(), &end);
+    if (end != s.c_str() + s.size() || !std::isfinite(x))
+        return false;
+    out = x;
+    return true;
+}
+
+std::string
+formatValue(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
 struct JsonObject::Parser
@@ -262,21 +286,6 @@ JsonObject::find(std::string_view key) const
         if (it->first == key)
             return &it->second;
     return nullptr;
-}
-
-JsonField
-JsonObject::get(std::string_view key, double &out) const
-{
-    const Value *v = find(key);
-    if (v == nullptr)
-        return JsonField::Absent;
-    if (v->kind != Value::Kind::Num)
-        return JsonField::Bad;
-    const double x = std::strtod(v->text.c_str(), nullptr);
-    if (!std::isfinite(x))
-        return JsonField::Bad;
-    out = x;
-    return JsonField::Ok;
 }
 
 JsonField

@@ -59,6 +59,10 @@ class ThreadPool
     /** std::thread::hardware_concurrency(), but never 0. */
     static unsigned hardwareConcurrency();
 
+    /** The most workers a tool's --threads flag may ask for; 0 there
+     *  already means every hardware thread. */
+    static constexpr unsigned maxThreads = 1024;
+
   private:
     void workerLoop() CMPQOS_EXCLUDES(mu_);
 

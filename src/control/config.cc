@@ -1,7 +1,9 @@
 #include "config.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <variant>
+
+#include "common/json.hh"
 
 namespace cmpqos
 {
@@ -9,31 +11,34 @@ namespace cmpqos
 namespace
 {
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+constexpr double unbounded = std::numeric_limits<double>::infinity();
 
-bool
-parseDouble(std::string_view v, double &out)
+/** One spec key: its name, its field and, for a number, the closed
+ *  range its value must lie in. */
+struct SpecKey
 {
-    const std::string s(v);
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end != nullptr && *end == '\0' && !s.empty();
-}
+    const char *name;
+    std::variant<bool ControllerConfig::*, double ControllerConfig::*,
+                 unsigned ControllerConfig::*,
+                 InstCount ControllerConfig::*>
+        field;
+    double lo = -unbounded;
+    double hi = unbounded;
+};
 
-bool
-parseUnsigned(std::string_view v, unsigned long long &out)
-{
-    const std::string s(v);
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0' && !s.empty();
-}
+/** Every spec key, in the order formatControllerSpec prints them. */
+const SpecKey specKeys[] = {
+    {"on", &ControllerConfig::enabled},
+    {"slack_low", &ControllerConfig::slackLow},
+    {"slack_high", &ControllerConfig::slackHigh},
+    {"dynamic_slo", &ControllerConfig::dynamicSlo},
+    {"slo_slowdown", &ControllerConfig::sloSlowdown, 0.0},
+    {"bw_step", &ControllerConfig::bandwidthStep, 0.0, 100.0},
+    {"min_window", &ControllerConfig::minWindowInstructions},
+    {"p_static", &ControllerConfig::staticPower, 0.0},
+    {"dyn_coeff", &ControllerConfig::dynCoeff, 0.0},
+    {"power_cap", &ControllerConfig::powerCap, 0.0},
+};
 
 } // namespace
 
@@ -43,16 +48,14 @@ formatControllerSpec(const ControllerConfig &config)
     if (!config.enabled)
         return "";
     std::string s;
-    s += "on=1";
-    s += ",slack_low=" + fmtDouble(config.slackLow);
-    s += ",slack_high=" + fmtDouble(config.slackHigh);
-    s += ",dynamic_slo=" + std::string(config.dynamicSlo ? "1" : "0");
-    s += ",slo_slowdown=" + fmtDouble(config.sloSlowdown);
-    s += ",bw_step=" + std::to_string(config.bandwidthStep);
-    s += ",min_window=" + std::to_string(config.minWindowInstructions);
-    s += ",p_static=" + fmtDouble(config.staticPower);
-    s += ",dyn_coeff=" + fmtDouble(config.dynCoeff);
-    s += ",power_cap=" + fmtDouble(config.powerCap);
+    for (const SpecKey &k : specKeys) {
+        if (!s.empty())
+            s += ',';
+        s += k.name;
+        s += '=';
+        s += std::visit([&](auto f) { return formatValue(config.*f); },
+                        k.field);
+    }
     return s;
 }
 
@@ -63,17 +66,9 @@ parseControllerSpec(std::string_view spec, ControllerConfig &out,
     // All-or-nothing: parse into a fresh config, commit on success
     // only, so a failed reconfig directive leaves @p out untouched.
     ControllerConfig next;
-    if (spec.empty()) {
-        out = next;
-        return true;
-    }
     // Bare "on"/"off" are accepted as human-friendly shorthands.
-    if (spec == "off") {
-        out = next;
-        return true;
-    }
-    if (spec == "on") {
-        next.enabled = true;
+    if (spec.empty() || spec == "off" || spec == "on") {
+        next.enabled = spec == "on";
         out = next;
         return true;
     }
@@ -95,56 +90,22 @@ parseControllerSpec(std::string_view spec, ControllerConfig &out,
         }
         const std::string_view key = pair.substr(0, eq);
         const std::string_view value = pair.substr(eq + 1);
-        double d = 0.0;
-        unsigned long long u = 0;
-        if (key == "on") {
-            if (!parseUnsigned(value, u))
-                goto bad_value;
-            next.enabled = u != 0;
-        } else if (key == "slack_low") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.slackLow = d;
-        } else if (key == "slack_high") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.slackHigh = d;
-        } else if (key == "dynamic_slo") {
-            if (!parseUnsigned(value, u))
-                goto bad_value;
-            next.dynamicSlo = u != 0;
-        } else if (key == "slo_slowdown") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.sloSlowdown = d;
-        } else if (key == "bw_step") {
-            if (!parseUnsigned(value, u) || u > 100)
-                goto bad_value;
-            next.bandwidthStep = static_cast<unsigned>(u);
-        } else if (key == "min_window") {
-            if (!parseUnsigned(value, u))
-                goto bad_value;
-            next.minWindowInstructions = static_cast<InstCount>(u);
-        } else if (key == "p_static") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.staticPower = d;
-        } else if (key == "dyn_coeff") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.dynCoeff = d;
-        } else if (key == "power_cap") {
-            if (!parseDouble(value, d))
-                goto bad_value;
-            next.powerCap = d;
-        } else {
+        const SpecKey *k = nullptr;
+        for (const SpecKey &candidate : specKeys)
+            if (key == candidate.name)
+                k = &candidate;
+        if (k == nullptr) {
             error = "unknown controller spec key: " + std::string(key);
             return false;
         }
-        continue;
-    bad_value:
-        error = "bad controller spec value: " + std::string(pair);
-        return false;
+        if (!std::visit(
+                [&](auto f) {
+                    return readValue(value, next.*f, k->lo, k->hi);
+                },
+                k->field)) {
+            error = "bad controller spec value: " + std::string(pair);
+            return false;
+        }
     }
     out = next;
     return true;

@@ -81,8 +81,11 @@ std::string formatControllerSpec(const ControllerConfig &config);
 /**
  * Parse a spec produced by formatControllerSpec (or hand-written
  * subsets; unset keys keep their defaults). An empty spec yields a
- * disabled default config. @return false with @p error set on a
- * malformed key or value.
+ * disabled default config. Values follow readValue (common/json.hh):
+ * on and dynamic_slo are on/off values, every double is finite,
+ * slo_slowdown, p_static, dyn_coeff and power_cap are at least 0, and
+ * bw_step is in [0, 100]. @return false with @p error set on a
+ * malformed key or value, leaving @p out untouched.
  */
 bool parseControllerSpec(std::string_view spec, ControllerConfig &out,
                          std::string &error);

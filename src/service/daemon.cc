@@ -67,6 +67,17 @@ makeDirs(const std::string &path, std::string &err)
  *  stream is dropped rather than buffering without bound. */
 constexpr std::size_t maxPendingTx = 8 * 1024 * 1024;
 
+/** Why an epoch under @p c cannot run on @p shards shards (the
+ *  federated engine needs a node per shard); empty when it can. */
+std::string
+shardCountError(const EpochConfig &c, int shards)
+{
+    if (shards <= c.nodes)
+        return {};
+    return "nodes=" + std::to_string(c.nodes) + " is fewer than the " +
+           std::to_string(shards) + " shards the daemon runs on";
+}
+
 } // namespace
 
 // --- engine-thread helpers ------------------------------------------
@@ -237,6 +248,9 @@ QosDaemon::start(std::string &err)
         err = "no transport: set a socket path or a TCP port";
         return false;
     }
+    err = shardCountError(opts_.epoch, opts_.shards);
+    if (!err.empty())
+        return false;
     if (!makeDirs(opts_.journalDir, err))
         return false;
 
@@ -833,7 +847,9 @@ QosDaemon::handleReconfig(Session &s, const Reconfig &m)
         }
         EpochConfig next = config_;
         std::string err;
-        if (!applyEpochDirectives(next, m.directives, err)) {
+        if (applyEpochDirectives(next, m.directives, err))
+            err = shardCountError(next, opts_.shards);
+        if (!err.empty()) {
             nack.error = err;
             s.enqueue(nack);
             return;

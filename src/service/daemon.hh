@@ -67,7 +67,8 @@ class QosDaemon
         /** Engine shards; >1 runs each epoch on a FederatedEngine.
          *  Like threads, deliberately NOT part of EpochConfig: the
          *  journal, replay command and fingerprint are identical at
-         *  any shard count. */
+         *  any shard count. At most one per node: start() refuses
+         *  more, and so does a Reconfig that lowers nodes below it. */
         int shards = 1;
         /** Shard link transport when shards > 1. */
         FedTransport shardTransport = FedTransport::Inproc;

@@ -1,7 +1,10 @@
 #include "epoch_config.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
+#include <variant>
+
+#include "common/json.hh"
 
 namespace cmpqos
 {
@@ -9,46 +12,103 @@ namespace cmpqos
 namespace
 {
 
-bool
-parseU64(std::string_view v, std::uint64_t &out)
+constexpr double unbounded = std::numeric_limits<double>::infinity();
+
+/** One epoch key: its name (the directive key, and the flag after
+ *  "--"), the field it sets, and which values are legal. */
+struct EpochKey
 {
-    if (v.empty())
-        return false;
-    std::uint64_t acc = 0;
-    for (const char c : v) {
-        if (c < '0' || c > '9')
-            return false;
-        const auto d = static_cast<std::uint64_t>(c - '0');
-        if (acc > (UINT64_MAX - d) / 10)
-            return false;
-        acc = acc * 10 + d;
-    }
-    out = acc;
-    return true;
+    const char *name;
+    std::variant<int EpochConfig::*, std::uint64_t EpochConfig::*,
+                 double EpochConfig::*, bool EpochConfig::*,
+                 GacPolicy EpochConfig::*, ControllerConfig EpochConfig::*>
+        field;
+    /** The legal values, for the error message. */
+    const char *want;
+    /** A number's closed range. */
+    double lo = 0.0;
+    double hi = unbounded;
+    /** Written into the replay command, so also a cluster_driver
+     *  flag. */
+    bool replayed = true;
+};
+
+/** Every epoch key, in the order the `# config:` line and the replay
+ *  command print them. */
+const EpochKey epochKeys[] = {
+    {"nodes", &EpochConfig::nodes, "want an integer in [1, 4096]", 1, 4096},
+    {"quantum", &EpochConfig::quantum, "want a positive cycle count", 1},
+    {"seed", &EpochConfig::seed, "want an unsigned integer"},
+    {"policy", &EpochConfig::policy,
+     "want first-fit, earliest-slot or least-loaded"},
+    {"negotiate", &EpochConfig::negotiate,
+     "want 1/0, true/false or on/off"},
+    {"elastic-x", &EpochConfig::elasticX, "want a fraction in [0, 1]", 0,
+     1},
+    {"arrival-gap", &EpochConfig::arrivalGap, "want a positive cycle count",
+     1, unbounded, false},
+    // Every Submit that leaves instructions at 0 takes this count, so
+    // it obeys the same bounds as a Submit's own.
+    {"instructions", &EpochConfig::instructions,
+     "want an instruction count in [1, 2^40]", 1,
+     static_cast<double>(maxArrivalInstructions)},
+    {"check-invariants", &EpochConfig::checkInvariants,
+     "want 1/0, true/false or on/off"},
+    {"control", &EpochConfig::control, "want a controller spec"},
+};
+
+const EpochKey *
+findKey(std::string_view name)
+{
+    for (const EpochKey &k : epochKeys)
+        if (name == k.name)
+            return &k;
+    return nullptr;
 }
 
 bool
-parseF64(std::string_view v, double &out)
+isOnOff(const EpochKey &k)
 {
-    const std::string s(v);
-    char *end = nullptr;
-    const double d = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        return false;
-    out = d;
-    return true;
+    return std::holds_alternative<bool EpochConfig::*>(k.field);
 }
 
+/** Read @p value into @p k's field of @p c; false, with @p why set
+ *  and @p c unchanged, when the value is not legal. */
 bool
-parseBool(std::string_view v, bool &out)
+setKey(EpochConfig &c, const EpochKey &k, std::string_view value,
+       std::string &why)
 {
-    if (v == "1" || v == "true" || v == "on")
-        out = true;
-    else if (v == "0" || v == "false" || v == "off")
-        out = false;
-    else
-        return false;
-    return true;
+    why = k.want;
+    return std::visit(
+        [&](auto field) {
+            auto &f = c.*field;
+            using T = std::remove_reference_t<decltype(f)>;
+            if constexpr (std::is_same_v<T, GacPolicy>)
+                return parseGacPolicy(value, f);
+            else if constexpr (std::is_same_v<T, ControllerConfig>)
+                return parseControllerSpec(value, f, why);
+            else
+                return readValue(value, f, k.lo, k.hi);
+        },
+        k.field);
+}
+
+/** @p k's value in @p c, as setKey reads it back. */
+std::string
+keyValue(const EpochConfig &c, const EpochKey &k)
+{
+    return std::visit(
+        [&](auto field) -> std::string {
+            const auto &f = c.*field;
+            using T = std::remove_cvref_t<decltype(f)>;
+            if constexpr (std::is_same_v<T, GacPolicy>)
+                return gacPolicyName(f);
+            else if constexpr (std::is_same_v<T, ControllerConfig>)
+                return formatControllerSpec(f);
+            else
+                return formatValue(f);
+        },
+        k.field);
 }
 
 } // namespace
@@ -57,62 +117,18 @@ bool
 applyEpochDirective(EpochConfig &c, std::string_view key,
                     std::string_view value, std::string &err)
 {
-    const auto bad = [&](const char *why) {
-        err = std::string(key) + "=" + std::string(value) + ": " + why;
+    const EpochKey *k = findKey(key);
+    if (k == nullptr) {
+        err = "unknown directive '" + std::string(key) + "' (want";
+        for (const EpochKey &known : epochKeys)
+            err += std::string(&known == epochKeys ? " " : ", ") +
+                   known.name;
+        err += ")";
         return false;
-    };
-    std::uint64_t u = 0;
-    double f = 0.0;
-    bool b = false;
-    if (key == "nodes") {
-        if (!parseU64(value, u) || u < 1 || u > 4096)
-            return bad("want an integer in [1, 4096]");
-        c.nodes = static_cast<int>(u);
-    } else if (key == "quantum") {
-        if (!parseU64(value, u) || u == 0)
-            return bad("want a positive cycle count");
-        c.quantum = u;
-    } else if (key == "seed") {
-        if (!parseU64(value, u))
-            return bad("want an unsigned integer");
-        c.seed = u;
-    } else if (key == "policy") {
-        if (!parseGacPolicy(value, c.policy))
-            return bad(
-                "want first-fit, earliest-slot or least-loaded");
-    } else if (key == "negotiate") {
-        if (!parseBool(value, b))
-            return bad("want 0/1");
-        c.negotiate = b;
-    } else if (key == "elastic-x") {
-        if (!parseF64(value, f) || f < 0.0 || f > 1.0)
-            return bad("want a fraction in [0, 1]");
-        c.elasticX = f;
-    } else if (key == "arrival-gap") {
-        if (!parseU64(value, u) || u == 0)
-            return bad("want a positive cycle count");
-        c.arrivalGap = u;
-    } else if (key == "instructions") {
-        // Every Submit that leaves instructions at 0 takes this
-        // count, so it obeys the same bounds as a Submit's own.
-        if (!parseU64(value, u) || !arrivalBoundsError(0, u).empty())
-            return bad("want an instruction count in [1, 2^40]");
-        c.instructions = u;
-    } else if (key == "check-invariants") {
-        if (!parseBool(value, b))
-            return bad("want 0/1");
-        c.checkInvariants = b;
-    } else if (key == "control") {
-        ControllerConfig control;
-        std::string spec_err;
-        if (!parseControllerSpec(std::string(value), control, spec_err))
-            return bad(spec_err.c_str());
-        c.control = control;
-    } else {
-        err = "unknown directive '" + std::string(key) +
-              "' (want nodes, quantum, seed, policy, negotiate, "
-              "elastic-x, arrival-gap, instructions, "
-              "check-invariants or control)";
+    }
+    std::string why;
+    if (!setKey(c, *k, value, why)) {
+        err = std::string(key) + "=" + std::string(value) + ": " + why;
         return false;
     }
     return true;
@@ -159,27 +175,19 @@ applyEpochDirectives(EpochConfig &c, std::string_view directives,
 std::string
 formatEpochConfig(const EpochConfig &c)
 {
-    char buf[64];
     std::string s;
-    s += "nodes=" + std::to_string(c.nodes);
-    s += " quantum=" + std::to_string(c.quantum);
-    s += " seed=" + std::to_string(c.seed);
-    s += " policy=";
-    s += gacPolicyName(c.policy);
-    s += " negotiate=";
-    s += c.negotiate ? "1" : "0";
-    std::snprintf(buf, sizeof(buf), "%.17g", c.elasticX);
-    s += " elastic-x=";
-    s += buf;
-    s += " arrival-gap=" + std::to_string(c.arrivalGap);
-    s += " instructions=" + std::to_string(c.instructions);
-    s += " check-invariants=";
-    s += c.checkInvariants ? "1" : "0";
-    // The spec is comma-separated (one word), so it fits the
-    // whitespace-split grammar; disabled stays absent to keep
-    // pre-controller journals replayable byte-for-byte.
-    if (c.control.enabled)
-        s += " control=" + formatControllerSpec(c.control);
+    for (const EpochKey &k : epochKeys) {
+        // A disabled controller's spec is empty and stays absent, so
+        // pre-controller journals replay byte-for-byte.
+        const std::string v = keyValue(c, k);
+        if (v.empty())
+            continue;
+        if (!s.empty())
+            s += ' ';
+        s += k.name;
+        s += '=';
+        s += v;
+    }
     return s;
 }
 
@@ -208,28 +216,61 @@ epochClusterConfig(const EpochConfig &c, unsigned threads)
     return cluster;
 }
 
+EpochConfig
+driverEpochDefaults()
+{
+    EpochConfig c;
+    c.checkInvariants = false;
+    return c;
+}
+
 std::string
 replayCommand(const EpochConfig &c, const std::string &journal_path)
 {
-    char buf[64];
+    const EpochConfig base = driverEpochDefaults();
     std::string s = "cluster_driver --trace " + journal_path;
-    s += " --nodes " + std::to_string(c.nodes);
-    s += " --quantum " + std::to_string(c.quantum);
-    s += " --seed " + std::to_string(c.seed);
-    s += " --policy ";
-    s += gacPolicyName(c.policy);
-    if (!c.negotiate)
-        s += " --no-negotiate";
-    std::snprintf(buf, sizeof(buf), "%.17g", c.elasticX);
-    s += " --elastic-x ";
-    s += buf;
-    s += " --instructions " + std::to_string(c.instructions);
-    if (c.checkInvariants)
-        s += " --check-invariants";
-    if (c.control.enabled)
-        s += " --control " + formatControllerSpec(c.control);
+    for (const EpochKey &k : epochKeys) {
+        if (!k.replayed)
+            continue;
+        if (const auto *f = std::get_if<bool EpochConfig::*>(&k.field)) {
+            if (c.*(*f) != base.*(*f))
+                s += (c.*(*f) ? " --" : " --no-") + std::string(k.name);
+        } else if (const std::string v = keyValue(c, k); !v.empty()) {
+            s += " --" + std::string(k.name) + " " + v;
+        }
+    }
     s += " --fingerprint";
     return s;
+}
+
+bool
+readEpochFlag(EpochConfig &c, bool replayed_only, int argc,
+              const char *const *argv, int &i, std::string &err)
+{
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--"))
+        return false;
+    const EpochKey *k = findKey(arg.substr(2));
+    std::string_view value = "1";
+    if (k == nullptr && arg.starts_with("--no-")) {
+        k = findKey(arg.substr(5));
+        value = "0";
+        if (k != nullptr && !isOnOff(*k))
+            return false;
+    }
+    if (k == nullptr || (replayed_only && !k->replayed))
+        return false;
+    if (!isOnOff(*k)) {
+        if (i + 1 >= argc) {
+            err = "missing value for " + std::string(arg);
+            return true;
+        }
+        value = argv[++i];
+    }
+    std::string why;
+    if (!setKey(c, *k, value, why))
+        err = std::string(arg) + " " + std::string(value) + ": " + why;
+    return true;
 }
 
 } // namespace cmpqos

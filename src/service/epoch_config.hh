@@ -1,8 +1,10 @@
 /**
  * @file
- * One epoch's worth of daemon configuration, and the key=value
- * directive grammar shared by live reconfig (the Reconfig message),
- * the journal header (`# config:` line) and qosd's own flags.
+ * One epoch's worth of daemon configuration, and its one key list:
+ * the key=value directives of live reconfig (the Reconfig message)
+ * and the journal header (`# config:` line), the `--KEY` flags of
+ * qosd and cluster_driver, and the header's `# replay:` line are all
+ * read and written by walking the same ordered keys.
  *
  * An epoch is the daemon's unit of determinism: every submission
  * accepted between two drains executes under one immutable
@@ -47,13 +49,12 @@ struct EpochConfig
 };
 
 /**
- * Apply one `key=value` directive to @p c. Keys: nodes, quantum,
- * seed, policy, negotiate, elastic-x, arrival-gap, instructions,
- * check-invariants, control. Values are validated (nodes >= 1,
- * quantum > 0, elastic-x in [0,1], ...); on failure @p err names the
- * problem and @p c is unchanged. The control value is a comma-
- * separated controller spec (parseControllerSpec) — one shell word,
- * so it survives the whitespace-split directive grammar.
+ * Apply one `key=value` directive to @p c. The keys and their legal
+ * values are the key list in epoch_config.cc (DESIGN.md §11). The
+ * control value is a comma-separated controller spec
+ * (parseControllerSpec) — one shell word, so it survives the
+ * whitespace-split directive grammar. On failure @p err names the
+ * key and @p c is unchanged.
  */
 bool applyEpochDirective(EpochConfig &c, std::string_view key,
                          std::string_view value, std::string &err);
@@ -79,10 +80,30 @@ ArrivalMix epochMix(const EpochConfig &c);
  *  EpochConfig, since the fingerprint must not depend on it. */
 ClusterConfig epochClusterConfig(const EpochConfig &c, unsigned threads);
 
-/** The cluster_driver invocation that replays a journal written under
- *  @p c (journal path substituted for @p journal_path). */
+/** The epoch a cluster_driver run starts from before its flags:
+ *  EpochConfig's defaults with the invariant oracle off. */
+EpochConfig driverEpochDefaults();
+
+/**
+ * The cluster_driver invocation that replays a journal written under
+ * @p c (journal path substituted for @p journal_path): `--KEY VALUE`
+ * for each key but arrival-gap, which a replay never uses, and
+ * `--KEY`/`--no-KEY` for an on/off key only where it differs from
+ * driverEpochDefaults. A disabled controller is left out.
+ */
 std::string replayCommand(const EpochConfig &c,
                           const std::string &journal_path);
+
+/**
+ * If argv[@p i] is an epoch key's flag, read it into @p c and return
+ * true: `--KEY VALUE` (advancing @p i past the value), or `--KEY` and
+ * `--no-KEY` for an on/off key. With @p replayed_only, only the keys
+ * replayCommand writes are flags (cluster_driver's set). A missing or
+ * illegal value sets @p err, naming the flag, and leaves @p c
+ * unchanged.
+ */
+bool readEpochFlag(EpochConfig &c, bool replayed_only, int argc,
+                   const char *const *argv, int &i, std::string &err);
 
 } // namespace cmpqos
 

@@ -1,7 +1,5 @@
 #include "protocol.hh"
 
-#include <cstdio>
-
 #include "common/json.hh"
 #include "common/wire_codec.hh"
 
@@ -162,12 +160,7 @@ struct JsonWriter
     void u32(const char *n, std::uint32_t v) { raw(n, std::to_string(v)); }
     void u64(const char *n, std::uint64_t v) { raw(n, std::to_string(v)); }
     void i32(const char *n, std::int32_t v) { raw(n, std::to_string(v)); }
-    void f64(const char *n, double v)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        raw(n, buf);
-    }
+    void f64(const char *n, double v) { raw(n, formatValue(v)); }
     void str(const char *n, const std::string &s)
     {
         raw(n, '"' + escapeJson(s) + '"');

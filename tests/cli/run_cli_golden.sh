@@ -155,6 +155,26 @@ expect_usage_error() { # <label> <needle> <rc> <cmd...>
     fi
 }
 
+# A bad flag value is refused before anything is built: exit 2 with a
+# message naming the flag.
+expect_refused() { # <flag> <cluster_driver args...>
+    local flag=$1
+    shift
+    local rc=0
+    "$DRIVER" "$@" >"$WORK/refused.out" 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "FAIL: cluster_driver $* exited $rc (want 2)" >&2
+        cat "$WORK/refused.out" >&2
+        STATUS=1
+    elif ! grep -qF -- "$flag" "$WORK/refused.out"; then
+        echo "FAIL: cluster_driver $* does not name $flag:" >&2
+        cat "$WORK/refused.out" >&2
+        STATUS=1
+    else
+        echo "ok: cluster_driver $* refused"
+    fi
+}
+
 case_usage() {
     [ -n "$QOSCTL" ] || {
         echo "usage case needs the qosctl path as the 4th argument" >&2
@@ -176,6 +196,18 @@ case_usage() {
         "$DRIVER" --version
     expect_usage_error "qosctl --version" "cmpqos" 0 \
         "$QOSCTL" --version
+
+    expect_refused --quantum --quantum 0
+    expect_refused --nodes --nodes 0
+    expect_refused --nodes --nodes eight
+    expect_refused --elastic-x --elastic-x nan
+    expect_refused --seed --seed abc
+    expect_refused --mean-interarrival --mean-interarrival -5
+    expect_refused --shards --shards 0
+    expect_refused --shards --nodes 2 --shards 3
+    expect_refused --threads --threads abc
+    # Above the named maximum: refused before any thread is started.
+    expect_refused --threads --threads 1025
 
     # Federation flags. A bogus transport is a fatal-style error (no
     # usage text, exit 1) naming the offender ...

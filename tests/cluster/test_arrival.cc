@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -207,6 +208,28 @@ TEST(TraceArrivalDeathTest, OutOfRangeArrivalsAreFatal)
     mix.instructions = 0;
     EXPECT_EXIT(PoissonArrivalProcess(1000.0, mix, 1, 1),
                 ExitedWithCode(1), "arrival mix: instruction count 0");
+}
+
+void
+drawPoisson(double mean, std::uint64_t jobs)
+{
+    PoissonArrivalProcess p(mean, ArrivalMix::defaults(), 1, jobs);
+    collect(p);
+}
+
+TEST(PoissonArrivalDeathTest, ArrivalsBeyondTheBoundAreFatal)
+{
+    using ::testing::ExitedWithCode;
+    // A clock past maxArrivalTime has no Cycle to become.
+    EXPECT_EXIT(drawPoisson(1e30, 3), ExitedWithCode(1),
+                "Poisson arrival 1 at mean inter-arrival 1e\\+30");
+    for (const double mean :
+         {0.0, -5.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_EXIT(drawPoisson(mean, 3), ExitedWithCode(1),
+                    "mean inter-arrival time .* is not a positive, "
+                    "finite cycle count")
+            << mean;
 }
 
 } // namespace

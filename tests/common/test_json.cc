@@ -106,6 +106,46 @@ TEST(Json, DoublesMustBeFinite)
     EXPECT_EQ(d, 0.123456789);
 }
 
+TEST(Json, ReadValueTakesOneWholeTokenInRange)
+{
+    // The reader behind config keys and tool flags, whose text does
+    // not come through the JSON grammar.
+    unsigned u = 7;
+    for (const char *bad :
+         {"", " 4", "4 ", "+4", "-4", "4x", "0x10", "1e3", "4.0",
+          "4294967296"})
+        EXPECT_FALSE(readValue(bad, u)) << bad;
+    EXPECT_EQ(u, 7u);
+    EXPECT_TRUE(readValue("4294967295", u));
+    EXPECT_EQ(u, 4294967295u);
+    EXPECT_FALSE(readValue("1025", u, 0, 1024));
+    EXPECT_TRUE(readValue("1024", u, 0, 1024));
+
+    double d = 7.0;
+    for (const char *bad :
+         {"", " 0.5", "0.5 ", "nan", "inf", "-inf", "1e400", "0.5x"})
+        EXPECT_FALSE(readValue(bad, d)) << bad;
+    EXPECT_FALSE(readValue("1.5", d, 0, 1));
+    EXPECT_FALSE(readValue("-0.1", d, 0, 1));
+    EXPECT_EQ(d, 7.0);
+    EXPECT_TRUE(readValue("1e-400", d));
+    EXPECT_EQ(d, 0.0);
+    EXPECT_TRUE(readValue(formatValue(0.1), d));
+    EXPECT_EQ(d, 0.1);
+
+    bool b = false;
+    for (const char *on : {"1", "true", "on"}) {
+        b = false;
+        EXPECT_TRUE(readValue(on, b) && b) << on;
+    }
+    for (const char *off : {"0", "false", "off"}) {
+        b = true;
+        EXPECT_TRUE(readValue(off, b) && !b) << off;
+    }
+    EXPECT_FALSE(readValue("2", b));
+    EXPECT_FALSE(readValue("yes", b));
+}
+
 TEST(Json, RepeatedKeyKeepsTheLastValue)
 {
     const JsonObject obj = parsed("{\"k\":1,\"k\":2}");

@@ -102,6 +102,36 @@ TEST(ControllerSpec, RejectsBadValues)
     EXPECT_FALSE(parseControllerSpec("bw_step=-1", c, err));
     EXPECT_FALSE(parseControllerSpec("min_window=", c, err));
     EXPECT_FALSE(parseControllerSpec("slack_low", c, err));
+    EXPECT_FALSE(parseControllerSpec("slack_low=nan", c, err));
+    EXPECT_FALSE(parseControllerSpec("p_static=-1", c, err));
+    EXPECT_FALSE(parseControllerSpec("power_cap=inf", c, err));
+    EXPECT_FALSE(parseControllerSpec("on=7", c, err));
+    EXPECT_FALSE(parseControllerSpec("min_window=-1", c, err));
+}
+
+TEST(ControllerSpec, ExtremeDoublesRoundTripExactly)
+{
+    for (const double v : {5e-324, 1e-300, 0.1, 1.7976931348623157e308}) {
+        ControllerConfig c;
+        c.enabled = true;
+        c.slackLow = v;
+        c.slackHigh = v;
+        c.sloSlowdown = v;
+        c.staticPower = v;
+        c.dynCoeff = v;
+        c.powerCap = v;
+        const std::string spec = formatControllerSpec(c);
+        ControllerConfig back;
+        std::string err;
+        ASSERT_TRUE(parseControllerSpec(spec, back, err)) << spec << err;
+        EXPECT_EQ(back.slackLow, v) << spec;
+        EXPECT_EQ(back.slackHigh, v);
+        EXPECT_EQ(back.sloSlowdown, v);
+        EXPECT_EQ(back.staticPower, v);
+        EXPECT_EQ(back.dynCoeff, v);
+        EXPECT_EQ(back.powerCap, v);
+        EXPECT_EQ(formatControllerSpec(back), spec);
+    }
 }
 
 TEST(ControllerSpec, FailureLeavesConfigUntouched)

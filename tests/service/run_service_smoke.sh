@@ -4,7 +4,9 @@
 # a subscriber, drain gracefully, then replay the journal with
 # cluster_driver at 1, 2 and 4 threads and require each replay to
 # reproduce the live run's fingerprint byte-identically (invariant
-# oracle enabled on both sides).
+# oracle enabled on both sides). qosd runs with every replayed key off
+# its default, so the journal's `# replay:` line carries every flag
+# cluster_driver reads back.
 #
 # Usage: run_service_smoke.sh <qosd> <qosctl> <cluster_driver>
 set -u
@@ -33,9 +35,28 @@ fail() {
 sock="$work/qosd.sock"
 journal_dir="$work/journal"
 
+# Bad sizing values are refused before the socket or the journal
+# exists, with a message naming what was wrong. The timeout ends a
+# daemon that wrongly starts instead.
+refused() { # <needle> <qosd args...>
+    local needle=$1
+    shift
+    timeout 60 "$QOSD" --socket "$sock" --journal-dir "$journal_dir" "$@" \
+        >"$work/refused.out" 2>&1 && fail "qosd $* was accepted"
+    grep -qF -- "$needle" "$work/refused.out" ||
+        fail "qosd $* does not name $needle: $(cat "$work/refused.out")"
+    if [ -e "$sock" ] || [ -e "$journal_dir" ]; then
+        fail "qosd $* was refused too late"
+    fi
+}
+refused --threads --threads 1025
+refused "5 shards" --nodes 4 --shards 5
+
 "$QOSD" --socket "$sock" --journal-dir "$journal_dir" \
         --nodes 4 --quantum 200000 --instructions 100000 \
         --arrival-gap 20000 --threads 2 --quiet \
+        --seed 7 --policy earliest-slot --no-negotiate \
+        --elastic-x 0.125 --control on \
         2>"$work/qosd.err" &
 daemon_pid=$!
 

@@ -452,6 +452,71 @@ TEST(Daemon, ReconfigRollsTheEpochUnderNewConfig)
     EXPECT_EQ(replayFingerprint(j1, 2), done.fingerprint);
 }
 
+/** Submit four jobs to a 2-shard daemon, try @p reconfig (if any),
+ *  then drain; the drain's fingerprint. A reconfig must be refused
+ *  with an error naming nodes and shards. */
+std::string
+shardedFingerprint(const char *reconfig)
+{
+    DaemonHarness h(smallEpoch(), 2, /*shards=*/2);
+    EXPECT_TRUE(h.started());
+    QosClient client(h.clientOptions());
+    std::string err;
+    EXPECT_TRUE(client.connect(err)) << err;
+    for (std::uint32_t t = 1; t <= 4; ++t) {
+        SubmitReply reply;
+        EXPECT_TRUE(client.submit(makeSubmit(t), reply, err)) << err;
+        EXPECT_TRUE(reply.error.empty()) << reply.error;
+    }
+    if (reconfig != nullptr) {
+        ReconfigAck ack;
+        EXPECT_TRUE(client.reconfig(reconfig, ack, err)) << err;
+        EXPECT_NE(ack.error.find("nodes=1"), std::string::npos)
+            << "'" << ack.error << "' should name nodes";
+        EXPECT_NE(ack.error.find("2 shards"), std::string::npos)
+            << "'" << ack.error << "' should name shards";
+        EXPECT_EQ(ack.epoch, 0u);
+    }
+    DrainDone done;
+    EXPECT_TRUE(client.drain(true, done, err)) << err;
+    h.join();
+    EXPECT_EQ(done.epoch, 0u);
+    EXPECT_EQ(h.daemon().epochsCompleted(), 1u);
+    return done.fingerprint;
+}
+
+TEST(Daemon, ReconfigBelowTheShardCountIsRefused)
+{
+    // Fewer nodes than shards would reach the federated engine's
+    // shard-count assert at the next epoch; the daemon refuses the
+    // reconfig instead and the epoch runs on unchanged.
+    const std::string clean = shardedFingerprint(nullptr);
+    ASSERT_FALSE(clean.empty());
+    EXPECT_EQ(shardedFingerprint("seed=5 nodes=1"), clean);
+}
+
+TEST(Daemon, StartRefusesMoreShardsThanNodes)
+{
+    EpochConfig epoch = smallEpoch();
+    epoch.nodes = 2;
+    QosDaemon::Options opts;
+    opts.socketPath = "/tmp/cmpqos-qosd-shards-" +
+                      std::to_string(::getpid()) + ".sock";
+    opts.journalDir = "/tmp/cmpqos-qosd-shards-journal-" +
+                      std::to_string(::getpid());
+    opts.shards = 3;
+    opts.epoch = epoch;
+    opts.quiet = true;
+    QosDaemon daemon(opts);
+    std::string err;
+    EXPECT_FALSE(daemon.start(err));
+    EXPECT_NE(err.find("nodes=2"), std::string::npos) << err;
+    EXPECT_NE(err.find("3 shards"), std::string::npos) << err;
+    // Refused before anything was made.
+    EXPECT_NE(::access(opts.socketPath.c_str(), F_OK), 0);
+    EXPECT_NE(::access(opts.journalDir.c_str(), F_OK), 0);
+}
+
 // --- connection-fault containment ----------------------------------
 
 /** Raw (client-library-free) socket for driving hostile bytes. */

@@ -6,12 +6,52 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <vector>
+
 #include "service/epoch_config.hh"
 
 namespace cmpqos
 {
 namespace
 {
+
+/** Every key at its default and at one other value, each crossed with
+ *  negotiate, check-invariants and the controller on and off. */
+std::vector<EpochConfig>
+configGrid()
+{
+    const std::vector<std::function<void(EpochConfig &)>> one = {
+        [](EpochConfig &) {},
+        [](EpochConfig &c) { c.nodes = 13; },
+        [](EpochConfig &c) { c.quantum = 750'000; },
+        [](EpochConfig &c) { c.seed = 18446744073709551615ULL; },
+        [](EpochConfig &c) { c.policy = GacPolicy::EarliestSlot; },
+        [](EpochConfig &c) { c.elasticX = 1.0 / 3.0; },
+        [](EpochConfig &c) { c.arrivalGap = 1; },
+        [](EpochConfig &c) { c.instructions = 1ULL << 40; },
+        [](EpochConfig &c) {
+            c.control.slackLow = 5e-324;
+            c.control.dynamicSlo = false;
+            c.control.bandwidthStep = 100;
+            c.control.powerCap = 1.7976931348623157e308;
+        },
+    };
+    std::vector<EpochConfig> grid;
+    for (const auto &set : one)
+        for (const bool negotiate : {false, true})
+            for (const bool check : {false, true})
+                for (const bool control : {false, true}) {
+                    EpochConfig c;
+                    set(c);
+                    c.negotiate = negotiate;
+                    c.checkInvariants = check;
+                    c.control.enabled = control;
+                    grid.push_back(c);
+                }
+    return grid;
+}
 
 TEST(EpochConfig, SingleDirectivesApply)
 {
@@ -55,6 +95,8 @@ TEST(EpochConfig, BadValuesAreNamedAndLeaveConfigUntouched)
         {"instructions", "0"},   {"check-invariants", "2"},
         {"instructions", "1099511627777"},
         {"no-such-key", "1"},
+        {"elastic-x", "nan"},    {"elastic-x", "inf"},
+        {"nodes", "16x"},
     };
     for (const Case &k : cases) {
         EpochConfig c = before;
@@ -209,6 +251,77 @@ TEST(EpochConfig, ControlDirectiveRoundTrips)
     const ClusterConfig cluster = epochClusterConfig(c, 2);
     EXPECT_TRUE(cluster.control.enabled);
     EXPECT_EQ(cluster.control.powerCap, 4.5);
+}
+
+TEST(EpochConfig, ReplayCommandReadsBackThroughTheFlagReader)
+{
+    for (const EpochConfig &c : configGrid()) {
+        const std::string cmd = replayCommand(c, "j.trace");
+        std::istringstream words(cmd);
+        std::vector<std::string> argv_words;
+        for (std::string w; words >> w;)
+            if (w != "--trace" && w != "j.trace" && w != "--fingerprint")
+                argv_words.push_back(w);
+        std::vector<const char *> argv;
+        for (const std::string &w : argv_words)
+            argv.push_back(w.c_str());
+
+        EpochConfig back = driverEpochDefaults();
+        const int argc = static_cast<int>(argv.size());
+        for (int i = 1; i < argc; ++i) {
+            std::string err;
+            EXPECT_TRUE(readEpochFlag(back, /*replayed_only=*/true, argc,
+                                      argv.data(), i, err))
+                << argv[i] << " in " << cmd;
+            EXPECT_EQ(err, "") << cmd;
+        }
+        // arrival-gap never reaches a replay: the journal carries the
+        // arrival times themselves.
+        back.arrivalGap = c.arrivalGap;
+        EXPECT_EQ(formatEpochConfig(back), formatEpochConfig(c)) << cmd;
+    }
+}
+
+TEST(EpochConfig, FlagReaderNamesBadFlagsAndLeavesOthersAlone)
+{
+    // True when argv[1] is an epoch flag; @p err is set when it is bad.
+    const auto read = [](bool replayed_only,
+                         std::vector<const char *> argv, EpochConfig &c,
+                         std::string &err) {
+        int i = 1;
+        err.clear();
+        return readEpochFlag(c, replayed_only,
+                             static_cast<int>(argv.size()), argv.data(), i,
+                             err);
+    };
+    EpochConfig c = driverEpochDefaults();
+    const std::string before = formatEpochConfig(c);
+    std::string err;
+    EXPECT_FALSE(read(true, {"t", "--jobs", "4"}, c, err));
+    EXPECT_FALSE(read(true, {"t", "--no-nodes"}, c, err));
+    EXPECT_FALSE(read(true, {"t", "nodes", "4"}, c, err));
+    // arrival-gap is qosd's alone: a replay never uses it.
+    EXPECT_FALSE(read(true, {"t", "--arrival-gap", "9"}, c, err));
+    for (const std::vector<const char *> &bad :
+         std::vector<std::vector<const char *>>{
+             {"t", "--nodes"},
+             {"t", "--nodes", "0"},
+             {"t", "--elastic-x", "nan"},
+             {"t", "--control", "on=7"}}) {
+        EXPECT_TRUE(read(false, bad, c, err));
+        EXPECT_NE(err.find(bad[1]), std::string::npos) << err;
+        EXPECT_EQ(formatEpochConfig(c), before);
+    }
+
+    EXPECT_TRUE(read(false, {"t", "--arrival-gap", "9"}, c, err));
+    EXPECT_EQ(err, "");
+    EXPECT_EQ(c.arrivalGap, 9u);
+    EXPECT_TRUE(read(false, {"t", "--no-negotiate"}, c, err));
+    EXPECT_FALSE(c.negotiate);
+    EXPECT_TRUE(read(false, {"t", "--negotiate"}, c, err));
+    EXPECT_TRUE(c.negotiate);
+    EXPECT_TRUE(read(false, {"t", "--control", "on"}, c, err));
+    EXPECT_TRUE(c.control.enabled);
 }
 
 } // namespace

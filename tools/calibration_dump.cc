@@ -8,13 +8,17 @@
 #include "common/build_info.hh"
 #include "sim/simulation.hh"
 #include "workload/benchmark.hh"
+#include "tool_flags.hh"
 using namespace cmpqos;
 
 int main(int argc, char** argv)
 {
     if (handleVersionFlag("calibration_dump", argc, argv))
         return 0;
-    InstCount n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8'000'000;
+    InstCount n = 8'000'000;
+    if (argc > 1)
+        readFlag(argv[0], "instructions", argv[1], n,
+                 "an instruction count");
     CmpConfig cfg; cfg.chunkInstructions = 50'000;
     for (const auto& b : BenchmarkRegistry::all()) {
         // Fixed access count across benchmarks: scale instructions.

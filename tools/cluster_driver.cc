@@ -16,16 +16,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "cluster/engine.hh"
 #include "common/build_info.hh"
 #include "common/logging.hh"
-#include "control/config.hh"
+#include "common/thread_pool.hh"
 #include "fault/plan.hh"
 #include "federation/federated_engine.hh"
+#include "service/epoch_config.hh"
 #include "telemetry/collector.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -74,6 +77,8 @@ usage(const char *argv0, std::FILE *out)
         "                         (default 0.05)\n"
         "  --check-invariants     run the invariant oracle at every quantum\n"
         "                         barrier; exit 2 on any violation\n"
+        "                         (--negotiate and --no-check-invariants\n"
+        "                         restore the defaults)\n"
         "  --control SPEC         enable the per-node feedback controller;\n"
         "                         SPEC is a comma-separated key=value run\n"
         "                         (on, slack_low, slack_high, dynamic_slo,\n"
@@ -94,12 +99,11 @@ main(int argc, char **argv)
     if (handleVersionFlag("cluster_driver", argc, argv))
         return 0;
 
-    ClusterConfig config;
+    EpochConfig epoch = driverEpochDefaults();
+    unsigned threads = 0;
     std::uint64_t jobs = 64;
     double mean_interarrival = 500'000.0;
-    double elastic_x = 0.05;
     bool print_fingerprint = false;
-    InstCount instructions = 2'000'000;
     Cycle duration = 0;
     std::string trace_path, jsonl_path, csv_path;
     std::string trace_out_path, trace_chrome_path;
@@ -109,41 +113,31 @@ main(int argc, char **argv)
     FederationConfig federation;
     bool federated = false;
 
-    auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            cmpqos_fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
+    auto value = [&](int &i) { return flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
+        std::string err;
+        if (readEpochFlag(epoch, /*replayed_only=*/true, argc, argv, i,
+                          err)) {
+            if (!err.empty())
+                refuse(argv[0], err);
+            continue;
+        }
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage(argv[0], stdout);
             return 0;
-        } else if (arg == "--nodes") {
-            config.nodes = std::atoi(value(i));
         } else if (arg == "--threads") {
-            config.threads =
-                static_cast<unsigned>(std::atoi(value(i)));
+            readFlag(argv[0], arg, value(i), threads,
+                     "a thread count in [0, 1024]", 0,
+                     ThreadPool::maxThreads);
         } else if (arg == "--jobs") {
-            jobs = std::strtoull(value(i), nullptr, 10);
+            readFlag(argv[0], arg, value(i), jobs, "a job count");
         } else if (arg == "--mean-interarrival") {
-            mean_interarrival = std::atof(value(i));
-        } else if (arg == "--instructions") {
-            instructions = std::strtoull(value(i), nullptr, 10);
+            readFlag(argv[0], arg, value(i), mean_interarrival,
+                     "a positive cycle count",
+                     std::numeric_limits<double>::denorm_min());
         } else if (arg == "--duration") {
-            duration = std::strtoull(value(i), nullptr, 10);
-        } else if (arg == "--quantum") {
-            config.quantum = std::strtoull(value(i), nullptr, 10);
-        } else if (arg == "--policy") {
-            const char *name = value(i);
-            if (!parseGacPolicy(name, config.policy))
-                cmpqos_fatal("unknown policy '%s' (want first-fit, "
-                             "earliest-slot or least-loaded)",
-                             name);
-        } else if (arg == "--no-negotiate") {
-            config.negotiate = false;
-        } else if (arg == "--seed") {
-            config.seed = std::strtoull(value(i), nullptr, 10);
+            readFlag(argv[0], arg, value(i), duration, "a cycle count");
         } else if (arg == "--trace") {
             trace_path = value(i);
         } else if (arg == "--jsonl") {
@@ -155,12 +149,13 @@ main(int argc, char **argv)
         } else if (arg == "--trace-chrome") {
             trace_chrome_path = value(i);
         } else if (arg == "--trace-capacity") {
-            telemetry_config.ringCapacity =
-                std::strtoull(value(i), nullptr, 10);
+            readFlag(argv[0], arg, value(i), telemetry_config.ringCapacity,
+                     "a slot count in [1, 2^24]", 1, maxRingCapacity);
         } else if (arg == "--fault-plan") {
             fault_plan_path = value(i);
         } else if (arg == "--shards") {
-            federation.shards = std::atoi(value(i));
+            readFlag(argv[0], arg, value(i), federation.shards,
+                     "a shard count in [1, --nodes]", 1, 4096);
             federated = true;
         } else if (arg == "--transport") {
             if (!parseFedTransport(value(i), federation.transport))
@@ -171,17 +166,6 @@ main(int argc, char **argv)
         } else if (arg == "--shard-bin") {
             federation.shardBinary = value(i);
             federated = true;
-        } else if (arg == "--elastic-x") {
-            elastic_x = std::atof(value(i));
-            if (elastic_x < 0.0 || elastic_x > 1.0)
-                cmpqos_fatal("--elastic-x wants a fraction in [0, 1]");
-        } else if (arg == "--check-invariants") {
-            config.checkInvariants = true;
-        } else if (arg == "--control") {
-            std::string spec_err;
-            if (!parseControllerSpec(value(i), config.control,
-                                     spec_err))
-                cmpqos_fatal("--control: %s", spec_err.c_str());
         } else if (arg == "--fingerprint") {
             print_fingerprint = true;
         } else {
@@ -191,11 +175,14 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (federation.shards > epoch.nodes)
+        refuse(argv[0], "--shards " + std::to_string(federation.shards) +
+                            ": want a shard count in [1, --nodes], and "
+                            "--nodes is " +
+                            std::to_string(epoch.nodes));
 
-    ArrivalMix mix = ArrivalMix::defaults();
-    mix.instructions = instructions;
-    mix.tiers[static_cast<std::size_t>(QosTier::Silver)].mode =
-        ModeSpec::elastic(elastic_x);
+    ClusterConfig config = epochClusterConfig(epoch, threads);
+    const ArrivalMix mix = epochMix(epoch);
     std::unique_ptr<ArrivalProcess> arrivals;
     if (!trace_path.empty()) {
         arrivals = std::make_unique<TraceArrivalProcess>(trace_path, mix);
@@ -390,24 +377,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(violations));
         if (violations != 0) {
             std::printf("%s", engine->invariantReport().c_str());
-            // Reproducer: seed + plan fully replays the failure.
-            std::string topology;
-            if (federated)
-                topology = " --shards " +
-                           std::to_string(federation.shards) +
-                           " --transport " +
-                           fedTransportName(federation.transport);
-            std::printf("reproducer: --seed %llu --nodes %d "
-                        "--quantum %llu%s%s%s\n",
-                        static_cast<unsigned long long>(config.seed),
-                        config.nodes,
-                        static_cast<unsigned long long>(
-                            config.quantum),
-                        topology.c_str(),
-                        fault_plan.empty() ? "" : " --fault-plan ",
-                        fault_plan.empty()
-                            ? ""
-                            : fault_plan_path.c_str());
+            // The run is a function of its flags, so they replay the
+            // failure at any thread count.
+            std::printf("reproducer:");
+            for (int i = 1; i < argc; ++i)
+                std::printf(" %s", argv[i]);
+            std::printf("\n");
             return 2;
         }
     }

@@ -11,13 +11,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/build_info.hh"
 #include "federation/shard_controller.hh"
 #include "federation/transport.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -32,9 +32,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fd" && i + 1 < argc) {
-            fd = std::atoi(argv[++i]);
+            readFlag(argv[0], arg, argv[++i], fd, "a file descriptor", 0);
         } else if (arg == "--shard" && i + 1 < argc) {
-            shard = std::atoi(argv[++i]);
+            readFlag(argv[0], arg, argv[++i], shard, "a shard index", 0);
         } else {
             std::fprintf(stderr,
                          "usage: %s --fd N --shard I\n"

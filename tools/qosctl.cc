@@ -19,13 +19,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/build_info.hh"
 #include "service/client.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -67,6 +67,15 @@ die(const std::string &err)
     return 1;
 }
 
+/** Usage error for an argument the command does not take. */
+int
+unknownOption(const char *argv0, const std::string &arg)
+{
+    std::fprintf(stderr, "%s: unknown option '%s'\n", argv0, arg.c_str());
+    usage(argv0, stderr);
+    return 2;
+}
+
 const char *
 outcomeName(std::uint8_t outcome)
 {
@@ -78,12 +87,18 @@ outcomeName(std::uint8_t outcome)
     return "?";
 }
 
+// Each command reads all its arguments before it dials the daemon, so
+// a bad one is a usage error (exit 2), not a connect retry loop.
+
 int
-cmdStatus(QosClient &client)
+cmdStatus(QosClient &client, const std::vector<std::string> &args,
+          const char *argv0)
 {
+    if (!args.empty())
+        return unknownOption(argv0, args[0]);
     StatusReply r;
     std::string err;
-    if (!client.status(r, err))
+    if (!client.connect(err) || !client.status(r, err))
         return die(err);
     std::printf("epoch        %llu (%s)\n",
                 static_cast<unsigned long long>(r.epoch),
@@ -114,39 +129,30 @@ cmdSubmit(QosClient &client, const std::vector<std::string> &args,
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         auto value = [&]() -> const std::string & {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv0, arg.c_str());
-                std::exit(2);
-            }
+            if (i + 1 >= args.size())
+                refuse(argv0, "missing value for " + arg);
             return args[++i];
         };
         if (arg == "--benchmark") {
             req.benchmark = value();
         } else if (arg == "--tier") {
             QosTier tier;
-            if (!parseQosTier(value(), tier)) {
-                std::fprintf(stderr,
-                             "%s: bad tier (want gold, silver or "
-                             "bronze)\n",
-                             argv0);
-                return 2;
-            }
+            const std::string &name = value();
+            if (!parseQosTier(name, tier))
+                refuse(argv0, arg + " " + name +
+                                  ": want gold, silver or bronze");
             req.tier = static_cast<std::uint8_t>(tier);
         } else if (arg == "--instructions") {
-            req.instructions =
-                std::strtoull(value().c_str(), nullptr, 10);
+            readFlag(argv0, arg, value(), req.instructions,
+                     "an instruction count");
         } else if (arg == "--time") {
-            req.time = std::strtoull(value().c_str(), nullptr, 10);
+            readFlag(argv0, arg, value(), req.time, "a cycle count");
         } else if (arg == "--count") {
-            count = std::strtoull(value().c_str(), nullptr, 10);
+            readFlag(argv0, arg, value(), count, "a job count");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv0,
-                         arg.c_str());
-            usage(argv0, stderr);
-            return 2;
+            return unknownOption(argv0, arg);
         }
     }
     if (count == 0)
@@ -155,6 +161,8 @@ cmdSubmit(QosClient &client, const std::vector<std::string> &args,
     std::uint64_t accepted = 0, negotiated = 0, rejected = 0,
                   refused = 0;
     std::string err;
+    if (!client.connect(err))
+        return die(err);
     for (std::uint64_t n = 0; n < count; ++n) {
         req.ticket = static_cast<std::uint32_t>(n + 1);
         SubmitReply reply;
@@ -204,17 +212,16 @@ cmdSubscribe(QosClient &client, const std::vector<std::string> &args,
     bool bounded = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--max-events" && i + 1 < args.size()) {
-            max_events = std::strtoull(args[++i].c_str(), nullptr, 10);
+            readFlag(argv0, args[i], args[i + 1], max_events,
+                     "an event count");
+            ++i;
             bounded = true;
         } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv0,
-                         args[i].c_str());
-            usage(argv0, stderr);
-            return 2;
+            return unknownOption(argv0, args[i]);
         }
     }
     std::string err;
-    if (!client.subscribe(true, err))
+    if (!client.connect(err) || !client.subscribe(true, err))
         return die(err);
     // Stderr marker so a harness can sequence on the subscription
     // being live before it starts generating events (events only
@@ -266,7 +273,7 @@ cmdReconfig(QosClient &client, const std::vector<std::string> &args,
     }
     ReconfigAck ack;
     std::string err;
-    if (!client.reconfig(directives, ack, err))
+    if (!client.connect(err) || !client.reconfig(directives, ack, err))
         return die(err);
     if (!ack.error.empty())
         return die("reconfig rejected: " + ack.error);
@@ -282,18 +289,14 @@ cmdDrain(QosClient &client, const std::vector<std::string> &args,
 {
     bool shutdown = false;
     for (const std::string &a : args) {
-        if (a == "--shutdown") {
+        if (a == "--shutdown")
             shutdown = true;
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv0,
-                         a.c_str());
-            usage(argv0, stderr);
-            return 2;
-        }
+        else
+            return unknownOption(argv0, a);
     }
     DrainDone done;
     std::string err;
-    if (!client.drain(shutdown, done, err))
+    if (!client.connect(err) || !client.drain(shutdown, done, err))
         return die(err);
     std::printf("epoch %llu drained: %llu submitted, %llu accepted, "
                 "%llu completed\n",
@@ -327,26 +330,14 @@ main(int argc, char **argv)
             usage(argv[0], stdout);
             return 0;
         } else if (arg == "--socket") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                return 2;
-            }
-            opts.socketPath = argv[++i];
+            opts.socketPath = flagValue(argc, argv, i);
         } else if (arg == "--tcp") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                return 2;
-            }
-            opts.tcpPort = std::atoi(argv[++i]);
+            readFlag(argv[0], arg, flagValue(argc, argv, i), opts.tcpPort,
+                     "a port in [1, 65535]", 1, 65535);
         } else if (arg == "--jsonl") {
             opts.mode = WireMode::Jsonl;
         } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         arg.c_str());
-            usage(argv[0], stderr);
-            return 2;
+            return unknownOption(argv[0], arg);
         } else {
             command = arg;
         }
@@ -373,46 +364,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Reject flag typos BEFORE dialling the daemon, so a bad flag is
-    // a usage error (exit 2), not a connect retry loop. Values are
-    // validated by the command handlers; this only screens names.
-    const auto flag_known = [&](const std::string &flag,
-                                bool &takes_value) {
-        takes_value = flag == "--benchmark" || flag == "--tier" ||
-                      flag == "--instructions" || flag == "--time" ||
-                      flag == "--count" || flag == "--max-events";
-        if (takes_value)
-            return (command == "submit" && flag != "--max-events") ||
-                   (command == "subscribe" && flag == "--max-events");
-        if (flag == "--quiet")
-            return command == "submit";
-        if (flag == "--shutdown")
-            return command == "drain";
-        return false;
-    };
-    if (command != "reconfig") { // reconfig takes raw KEY=VALUE args
-        for (std::size_t i = 0; i < rest.size(); ++i) {
-            if (rest[i].rfind("--", 0) != 0)
-                continue;
-            bool takes_value = false;
-            if (!flag_known(rest[i], takes_value)) {
-                std::fprintf(stderr, "%s: unknown option '%s'\n",
-                             argv[0], rest[i].c_str());
-                usage(argv[0], stderr);
-                return 2;
-            }
-            if (takes_value)
-                ++i;
-        }
-    }
-
     QosClient client(opts);
-    std::string err;
-    if (!client.connect(err))
-        return die(err);
-
     if (command == "status")
-        return cmdStatus(client);
+        return cmdStatus(client, rest, argv[0]);
     if (command == "submit")
         return cmdSubmit(client, rest, argv[0]);
     if (command == "subscribe")

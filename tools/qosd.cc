@@ -25,7 +25,9 @@
 #include <unistd.h>
 
 #include "common/build_info.hh"
+#include "common/thread_pool.hh"
 #include "service/daemon.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -64,6 +66,11 @@ usage(const char *argv0, std::FILE *out)
         "  --instructions I       default instructions per job\n"
         "                         (default 2000000)\n"
         "  --no-check-invariants  skip the invariant oracle\n"
+        "                         (--negotiate and --check-invariants\n"
+        "                         restore the defaults)\n"
+        "  --control SPEC         enable the per-node feedback\n"
+        "                         controller (SPEC as for\n"
+        "                         cluster_driver --control)\n"
         "  --max-frame BYTES      per-connection frame ceiling\n"
         "                         (default 65536)\n"
         "  --trace-capacity N     telemetry ring slots per producer\n"
@@ -85,17 +92,6 @@ onSignal(int)
         (void)!::write(g_shutdown_fd, &byte, 1);
 }
 
-bool
-directive(EpochConfig &c, const char *key, const char *value)
-{
-    std::string err;
-    if (!applyEpochDirective(c, key, value, err)) {
-        std::fprintf(stderr, "qosd: %s\n", err.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -105,15 +101,15 @@ main(int argc, char **argv)
         return 0;
 
     QosDaemon::Options opts;
-    auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    auto value = [&](int &i) { return flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
+        std::string err;
+        if (readEpochFlag(opts.epoch, /*replayed_only=*/false, argc, argv, i,
+                          err)) {
+            if (!err.empty())
+                refuse(argv[0], err);
+            continue;
+        }
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage(argv[0], stdout);
@@ -121,60 +117,28 @@ main(int argc, char **argv)
         } else if (arg == "--socket") {
             opts.socketPath = value(i);
         } else if (arg == "--tcp") {
-            opts.tcpPort = std::atoi(value(i));
+            readFlag(argv[0], arg, value(i), opts.tcpPort,
+                     "a port in [1, 65535]", 1, 65535);
         } else if (arg == "--journal-dir") {
             opts.journalDir = value(i);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(std::atoi(value(i)));
+            readFlag(argv[0], arg, value(i), opts.threads,
+                     "a thread count in [0, 1024]", 0,
+                     ThreadPool::maxThreads);
         } else if (arg == "--shards") {
-            opts.shards = std::atoi(value(i));
-            if (opts.shards < 1) {
-                std::fprintf(stderr, "qosd: --shards must be >= 1\n");
-                return 2;
-            }
+            readFlag(argv[0], arg, value(i), opts.shards,
+                     "a shard count in [1, --nodes]", 1, 4096);
         } else if (arg == "--shard-transport") {
-            const char *name = value(i);
-            if (!parseFedTransport(name, opts.shardTransport)) {
-                std::fprintf(stderr,
-                             "qosd: unknown shard transport '%s' "
-                             "(inproc | uds)\n",
-                             name);
-                return 2;
-            }
-        } else if (arg == "--nodes") {
-            if (!directive(opts.epoch, "nodes", value(i)))
-                return 2;
-        } else if (arg == "--quantum") {
-            if (!directive(opts.epoch, "quantum", value(i)))
-                return 2;
-        } else if (arg == "--seed") {
-            if (!directive(opts.epoch, "seed", value(i)))
-                return 2;
-        } else if (arg == "--policy") {
-            if (!directive(opts.epoch, "policy", value(i)))
-                return 2;
-        } else if (arg == "--no-negotiate") {
-            opts.epoch.negotiate = false;
-        } else if (arg == "--elastic-x") {
-            if (!directive(opts.epoch, "elastic-x", value(i)))
-                return 2;
-        } else if (arg == "--arrival-gap") {
-            if (!directive(opts.epoch, "arrival-gap", value(i)))
-                return 2;
-        } else if (arg == "--instructions") {
-            if (!directive(opts.epoch, "instructions", value(i)))
-                return 2;
-        } else if (arg == "--no-check-invariants") {
-            opts.epoch.checkInvariants = false;
+            const std::string name = value(i);
+            if (!parseFedTransport(name, opts.shardTransport))
+                refuse(argv[0], "unknown shard transport '" + name +
+                                    "' (inproc | uds)");
         } else if (arg == "--max-frame") {
-            opts.maxFrame = std::strtoull(value(i), nullptr, 10);
-            if (opts.maxFrame < 64) {
-                std::fprintf(stderr,
-                             "qosd: --max-frame must be >= 64\n");
-                return 2;
-            }
+            readFlag(argv[0], arg, value(i), opts.maxFrame,
+                     "a byte count of at least 64", 64);
         } else if (arg == "--trace-capacity") {
-            opts.traceCapacity = std::strtoull(value(i), nullptr, 10);
+            readFlag(argv[0], arg, value(i), opts.traceCapacity,
+                     "a slot count in [1, 2^24]", 1, maxRingCapacity);
         } else if (arg == "--quiet") {
             opts.quiet = true;
         } else {

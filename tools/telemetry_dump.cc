@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -31,6 +30,7 @@
 #include "common/build_info.hh"
 #include "common/logging.hh"
 #include "telemetry/sink.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -301,10 +301,9 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             mode = "jobs";
         } else if (arg == "--job") {
-            if (i + 1 >= argc)
-                cmpqos_fatal("--job needs a sequence number");
             mode = "job";
-            seq = std::atoll(argv[++i]);
+            readFlag(argv[0], arg, flagValue(argc, argv, i), seq,
+                     "a sequence number");
         } else if (arg == "--steals") {
             mode = "steals";
         } else if (arg == "--rejections") {

@@ -11,13 +11,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
 #include "cache/partitioned_cache.hh"
 #include "common/build_info.hh"
 #include "workload/trace.hh"
+#include "tool_flags.hh"
 
 using namespace cmpqos;
 
@@ -42,10 +42,13 @@ cmdRecord(int argc, char **argv)
     if (argc < 5)
         return usage();
     const std::string bench = argv[2];
-    const InstCount instr = std::strtoull(argv[3], nullptr, 10);
+    InstCount instr = 0;
+    readFlag(argv[0], "instructions", argv[3], instr,
+             "an instruction count");
     const std::string path = argv[4];
-    const std::uint64_t seed =
-        argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+    std::uint64_t seed = 1;
+    if (argc > 5)
+        readFlag(argv[0], "seed", argv[5], seed, "an unsigned integer");
     if (!BenchmarkRegistry::has(bench)) {
         std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
         return 2;
@@ -97,9 +100,9 @@ cmdReplay(int argc, char **argv)
 {
     if (argc < 4)
         return usage();
+    unsigned ways = 0;
+    readFlag(argv[0], "ways", argv[3], ways, "a way count");
     TraceReader reader(argv[2]);
-    const unsigned ways =
-        static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10));
     PartitionedCache l2(CacheConfig::l2Default(), 1,
                         PartitionScheme::PerSet);
     l2.setTargetWays(0, ways);
