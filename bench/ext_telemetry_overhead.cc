@@ -96,10 +96,8 @@ main(int argc, char **argv)
         bench::benchJsonPath(argc, argv, "telemetry_overhead");
     constexpr int kReps = 5;
     std::printf("# ext_telemetry_overhead: 8 nodes, 4 threads, 96 "
-                "Poisson jobs, seed 42, best of %d interleaved\n",
+                "Poisson jobs, seed 42, best of %d interleaved\n\n",
                 kReps);
-    std::printf("# telemetry compiled %s\n\n",
-                telemetryCompiledIn ? "in" : "out");
 
     // Warm the solo-CPI calibration memo first.
     (void)runOnce(Regime::NoCollector);

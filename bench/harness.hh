@@ -7,10 +7,14 @@
  * paper reports (plus the paper's reference values where they are
  * stated). Scale knobs come from the environment:
  *
- *   CMPQOS_JOB_INSTR  instructions per job   (default 30,000,000)
+ *   CMPQOS_JOB_INSTR  instructions per job   (default 30,000,000;
+ *                     at most 2^40)
  *   CMPQOS_JOBS       accepted jobs/workload (default 10, as in the
- *                     paper)
+ *                     paper; at least 1)
  *   CMPQOS_SEED       workload seed          (default 1)
+ *
+ * Each is one whole base-10 word read by readValue, like every flag;
+ * a bad value exits 2 naming the variable before anything runs.
  *
  * The paper simulates 200M-instruction jobs on Simics; the scaled
  * default keeps every bench in the seconds range while preserving the
@@ -20,10 +24,13 @@
 #ifndef CMPQOS_BENCH_HARNESS_HH
 #define CMPQOS_BENCH_HARNESS_HH
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/json.hh"
 #include "qos/framework.hh"
 #include "qos/workload_spec.hh"
 #include "stats/table.hh"
@@ -31,29 +38,59 @@
 namespace cmpqos::bench
 {
 
+/** @p name's value in [@p lo, @p hi], or @p fallback when unset;
+ *  exits 2 on a value readValue refuses. */
 inline std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
+envOr(const char *name, std::uint64_t fallback, std::uint64_t lo,
+      std::uint64_t hi)
 {
     const char *v = std::getenv(name);
-    return v == nullptr ? fallback : std::strtoull(v, nullptr, 10);
+    std::uint64_t out = fallback;
+    if (v != nullptr && !readValue(v, out, static_cast<double>(lo),
+                                   static_cast<double>(hi))) {
+        std::cerr << name << "='" << v << "': want an integer in [" << lo
+                  << ", " << hi << "]\n";
+        std::exit(2);
+    }
+    return out;
+}
+
+constexpr std::uint64_t anyCount =
+    std::numeric_limits<std::uint64_t>::max();
+
+/** The three scale knobs, read once: a bad one stops the bench at
+ *  its first use of any, before a run. */
+struct Scale
+{
+    InstCount jobInstructions =
+        envOr("CMPQOS_JOB_INSTR", 30'000'000, 1, InstCount{1} << 40);
+    std::uint64_t jobs = envOr("CMPQOS_JOBS", 10, 1, anyCount);
+    std::uint64_t seed = envOr("CMPQOS_SEED", 1, 0, anyCount);
+};
+
+inline const Scale &
+scale()
+{
+    static const Scale s;
+    return s;
 }
 
 inline InstCount
 jobInstructions()
 {
-    return envOr("CMPQOS_JOB_INSTR", 30'000'000);
+    return scale().jobInstructions;
 }
 
 inline std::size_t
 jobsPerWorkload()
 {
-    return static_cast<std::size_t>(envOr("CMPQOS_JOBS", 10));
+    return static_cast<std::size_t>(scale().jobs);
 }
 
 inline std::uint64_t
 workloadSeed()
 {
-    return envOr("CMPQOS_SEED", 1);
+    return scale().seed;
 }
 
 /** Framework config tuned for bench runs (paper parameters). */
@@ -93,6 +130,7 @@ runMixed(ModeConfig config, MixType mix)
 inline void
 printHeader(const std::string &title, const std::string &paper_ref)
 {
+    (void)scale(); // refuse a bad knob before printing anything
     std::cout << "\n################################################\n"
               << "# " << title << "\n"
               << "# Paper reference: " << paper_ref << "\n"

@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <ostream>
 
+#include "common/line_file.hh"
 #include "common/logging.hh"
 #include "workload/benchmark.hh"
 
@@ -45,6 +46,34 @@ arrivalBoundsError(Cycle time, InstCount instructions)
                " is outside [1, " + std::to_string(maxArrivalInstructions) +
                "]";
     return {};
+}
+
+void
+ArrivalLine::write(std::ostream &os) const
+{
+    os << time << ' ' << benchmark << ' ' << qosTierName(tier) << ' '
+       << instructions << '\n';
+}
+
+bool
+ArrivalLine::read(const std::vector<std::string_view> &words,
+                  std::string &why)
+{
+    if (!checkWordCount(words, 3, 4,
+                        "<time> <benchmark> <tier> [instructions]", why) ||
+        !readWord(words[0], time, "arrival time", why) ||
+        (words.size() == 4 &&
+         !readWord(words[3], instructions, "instruction count", why)))
+        return false;
+    benchmark = words[1];
+    if (!BenchmarkRegistry::has(std::string(benchmark)))
+        why = "unknown benchmark '" + std::string(benchmark) + "'";
+    else if (!parseQosTier(words[2], tier))
+        why = "unknown tier '" + std::string(words[2]) +
+              "' (want gold, silver or bronze)";
+    else
+        why = arrivalBoundsError(time, instructions);
+    return why.empty();
 }
 
 ArrivalMix
@@ -155,60 +184,26 @@ TraceArrivalProcess::TraceArrivalProcess(const std::string &path,
 void
 TraceArrivalProcess::parse(std::istream &in, const std::string &origin)
 {
-    std::string line;
-    std::size_t lineno = 0;
     Cycle last = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream fields(line);
-        std::uint64_t time = 0;
-        std::string benchmark, tier_name;
-        if (!(fields >> time)) {
-            if (time == 0)
-                continue; // blank / comment-only line
-            // The time overflowed 64 bits and reads as the largest
-            // value, which the bounds check below refuses.
-            fields.clear();
-        }
-        if (!(fields >> benchmark >> tier_name))
-            cmpqos_fatal("%s:%zu: expected '<time> <benchmark> <tier> "
-                         "[instructions]'",
-                         origin.c_str(), lineno);
-        if (!BenchmarkRegistry::has(benchmark))
-            cmpqos_fatal("%s:%zu: unknown benchmark '%s'",
-                         origin.c_str(), lineno, benchmark.c_str());
-        QosTier tier;
-        if (!parseQosTier(tier_name, tier))
-            cmpqos_fatal("%s:%zu: unknown tier '%s' (want gold, silver "
-                         "or bronze)",
-                         origin.c_str(), lineno, tier_name.c_str());
-        // Optional: an absent count keeps the mix default; a token
-        // that is not a count reads as 0, and one that overflows as
-        // the largest value, both refused below.
-        InstCount instructions = mix_.instructions;
-        fields >> instructions;
-        const std::string bad = arrivalBoundsError(time, instructions);
-        if (!bad.empty())
-            cmpqos_fatal("%s:%zu: %s", origin.c_str(), lineno,
-                         bad.c_str());
-        if (time < last)
+    forEachLine(in, [&](std::size_t number, const auto &words) {
+        ArrivalLine line;
+        line.instructions = mix_.instructions;
+        std::string why;
+        if (!line.read(words, why))
+            cmpqos_fatal("%s:%zu: %s", origin.c_str(), number, why.c_str());
+        if (line.time < last)
             cmpqos_fatal("%s:%zu: arrival times must be sorted "
                          "(%llu after %llu)",
-                         origin.c_str(), lineno,
-                         static_cast<unsigned long long>(time),
+                         origin.c_str(), number,
+                         static_cast<unsigned long long>(line.time),
                          static_cast<unsigned long long>(last));
-        last = time;
-
-        ClusterArrival a;
-        a.time = time;
-        a.tier = tier;
-        a.request = tierRequest(mix_, tier, benchmark);
-        a.instructions = instructions;
-        arrivals_.push_back(std::move(a));
-    }
+        last = line.time;
+        arrivals_.push_back(
+            {line.time, line.tier,
+             tierRequest(mix_, line.tier, std::string(line.benchmark)),
+             line.instructions});
+        return true;
+    });
 }
 
 std::optional<ClusterArrival>

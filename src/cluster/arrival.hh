@@ -70,6 +70,26 @@ constexpr InstCount maxArrivalInstructions = InstCount{1} << 40;
  *  <= maxArrivalInstructions; otherwise a message naming the value. */
 std::string arrivalBoundsError(Cycle time, InstCount instructions);
 
+/** One arrival-trace line, `<time> <benchmark> <tier>
+ *  [instructions]`: the one definition the qosd journal writes and
+ *  TraceArrivalProcess reads. */
+struct ArrivalLine
+{
+    Cycle time = 0;
+    std::string_view benchmark;
+    QosTier tier = QosTier::Gold;
+    InstCount instructions = 0;
+
+    /** Write every column and a newline. */
+    void write(std::ostream &os) const;
+
+    /** Read a line's words (benchmark points into them); a count left
+     *  out keeps `instructions`. False, with @p why set, on a missing,
+     *  malformed or out-of-bounds column or a word after the count. */
+    bool read(const std::vector<std::string_view> &words,
+              std::string &why);
+};
+
 /** How one tier translates into a concrete job request. */
 struct TierSpec
 {
@@ -157,13 +177,10 @@ class PoissonArrivalProcess : public ArrivalProcess
 };
 
 /**
- * Replays arrivals from a text trace. Each non-comment line is
- *
- *   <time_cycles> <benchmark> <gold|silver|bronze> [instructions]
- *
- * separated by whitespace; '#' starts a comment. Lines must be sorted
- * by time and within arrivalBoundsError's bounds. Tier translation
- * comes from the supplied ArrivalMix.
+ * Replays arrivals from a text trace: ArrivalLine records sorted by
+ * time, read by the line reader (common/line_file.hh). A line without
+ * a count takes the mix's, as does tier translation. A bad line is
+ * fatal and names `<origin>:<line>`.
  */
 class TraceArrivalProcess : public ArrivalProcess
 {

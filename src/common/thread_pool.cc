@@ -7,7 +7,9 @@ namespace cmpqos
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {
-    cmpqos_assert(num_threads >= 1, "thread pool needs >= 1 worker");
+    cmpqos_assert(num_threads >= 1 && num_threads <= maxThreads,
+                  "thread pool needs 1 to %u workers, not %u", maxThreads,
+                  num_threads);
     workers_.reserve(num_threads);
     for (unsigned i = 0; i < num_threads; ++i)
         workers_.emplace_back([this]() { workerLoop(); });

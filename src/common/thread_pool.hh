@@ -34,7 +34,7 @@ namespace cmpqos
 class ThreadPool
 {
   public:
-    /** Spawn @p num_threads workers (must be >= 1). */
+    /** Spawn @p num_threads workers, in [1, maxThreads]. */
     explicit ThreadPool(unsigned num_threads);
     ~ThreadPool();
 
@@ -59,8 +59,9 @@ class ThreadPool
     /** std::thread::hardware_concurrency(), but never 0. */
     static unsigned hardwareConcurrency();
 
-    /** The most workers a tool's --threads flag may ask for; 0 there
-     *  already means every hardware thread. */
+    /** The most workers a pool may have: the bound on a tool's
+     *  --threads flag (where 0 means every hardware thread) and on a
+     *  shard's FedInit. */
     static constexpr unsigned maxThreads = 1024;
 
   private:

@@ -1,96 +1,83 @@
 #include "connection.hh"
 
 #include <ostream>
-#include <sstream>
 
+#include "common/line_file.hh"
 #include "common/random.hh"
 
 namespace cmpqos
 {
 
-const char *
-connFaultTypeName(ConnFaultType t)
+namespace
 {
-    switch (t) {
-      case ConnFaultType::TruncateFrame: return "truncate";
-      case ConnFaultType::OversizeFrame: return "oversize";
-      case ConnFaultType::GarbageBytes: return "garbage";
-      case ConnFaultType::CorruptByte: return "corrupt";
+
+/** One directive: its name, the name of its one operand, and whether
+ *  a seed may follow (only garbage's does). In ConnFaultType order. */
+struct ConnForm
+{
+    const char *name;
+    const char *param;
+    bool seeded;
+};
+
+constexpr ConnForm connForms[] = {
+    {"truncate", "keep_bytes", false},
+    {"oversize", "claimed_len", false},
+    {"garbage", "n_bytes", true},
+    {"corrupt", "byte_offset", false},
+};
+static_assert(std::size(connForms) ==
+              static_cast<std::size_t>(ConnFaultType::CorruptByte) + 1);
+
+/** Read one line's words into @p spec; false, with @p why set, if the
+ *  line is not a directive of the table. */
+bool
+readDirective(const std::vector<std::string_view> &w, ConnFaultSpec &spec,
+              std::string &why)
+{
+    const std::size_t i = findForm(connForms, w[0]);
+    if (i == std::size(connForms)) {
+        why = "unknown directive '" + std::string(w[0]) + "'";
+        return false;
     }
-    return "?";
+    const ConnForm &f = connForms[i];
+    spec.type = static_cast<ConnFaultType>(i);
+    const std::string usage = std::string(f.name) + " <" + f.param + ">" +
+                              (f.seeded ? " [seed]" : "");
+    return checkWordCount(w, 2, 2 + f.seeded, usage, why) &&
+           readWord(w[1], spec.param, f.param, why) &&
+           (w.size() == 2 || readWord(w[2], spec.seed, "seed", why));
 }
+
+} // namespace
 
 std::string
 ConnFaultSpec::format() const
 {
-    std::string s = connFaultTypeName(type);
-    s += ' ';
-    s += std::to_string(param);
-    if (type == ConnFaultType::GarbageBytes) {
-        s += ' ';
-        s += std::to_string(seed);
-    }
+    const ConnForm &f = connForms[static_cast<std::size_t>(type)];
+    std::string s = std::string(f.name) + ' ' + std::to_string(param);
+    if (f.seeded)
+        s += ' ' + std::to_string(seed);
     return s;
 }
 
 std::string
 ConnFaultPlan::summary() const
 {
-    std::string s;
-    for (const ConnFaultSpec &f : faults) {
-        if (!s.empty())
-            s += "; ";
-        s += f.format();
-    }
-    return s;
+    return joinLines(faults, "; ");
 }
 
 void
 ConnFaultPlan::write(std::ostream &os) const
 {
-    for (const ConnFaultSpec &f : faults)
-        os << f.format() << '\n';
+    os << joinLines(faults, "\n", true);
 }
 
 bool
 ConnFaultPlan::tryParse(std::istream &is, ConnFaultPlan &out,
                         std::string &error)
 {
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream fields(line);
-        std::string word;
-        if (!(fields >> word))
-            continue; // blank / comment-only line
-        ConnFaultSpec spec;
-        if (word == "truncate")
-            spec.type = ConnFaultType::TruncateFrame;
-        else if (word == "oversize")
-            spec.type = ConnFaultType::OversizeFrame;
-        else if (word == "garbage")
-            spec.type = ConnFaultType::GarbageBytes;
-        else if (word == "corrupt")
-            spec.type = ConnFaultType::CorruptByte;
-        else {
-            error = "line " + std::to_string(lineno) +
-                    ": unknown directive '" + word + "'";
-            return false;
-        }
-        if (!(fields >> spec.param)) {
-            error = "line " + std::to_string(lineno) + ": '" + word +
-                    "' needs a numeric parameter";
-            return false;
-        }
-        if (spec.type == ConnFaultType::GarbageBytes)
-            fields >> spec.seed; // optional; default kept on failure
-        out.faults.push_back(spec);
-    }
-    return true;
+    return readSpecs(is, out.faults, error, readDirective);
 }
 
 std::string

@@ -12,7 +12,8 @@
  * unchanged by the attack.
  *
  * Faults have the same line-oriented text form as fault plans
- * (`# comments`, one directive per line):
+ * (`# comments`, one directive per line), read and written from one
+ * table in connection.cc:
  *
  *     truncate <keep_bytes>       send only the first N bytes, then
  *                                 disconnect (mid-frame death)
@@ -53,8 +54,6 @@ enum class ConnFaultType
     /** Flip the low bit of the byte at offset `param`. */
     CorruptByte,
 };
-
-const char *connFaultTypeName(ConnFaultType t);
 
 /** One planned transport fault. */
 struct ConnFaultSpec

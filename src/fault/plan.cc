@@ -2,63 +2,82 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
+#include "common/line_file.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 
 namespace cmpqos
 {
 
-const char *
-faultTypeName(FaultType t)
-{
-    switch (t) {
-      case FaultType::NodeCrash: return "crash";
-      case FaultType::NodeRestart: return "restart";
-      case FaultType::ProbeDrop: return "probe-drop";
-      case FaultType::ProbeTimeout: return "probe-timeout";
-      case FaultType::DuplicateReply: return "dup-reply";
-      case FaultType::SlowQuantum: return "slow-quantum";
-      case FaultType::LinkDrop: return "link-drop";
-      case FaultType::LinkDup: return "link-dup";
-      case FaultType::LinkDelay: return "link-delay";
-      case FaultType::Partition: return "partition";
-    }
-    return "?";
-}
-
-bool
-faultTargetsShard(FaultType t)
-{
-    return t == FaultType::LinkDrop || t == FaultType::LinkDup ||
-           t == FaultType::LinkDelay || t == FaultType::Partition;
-}
-
 namespace
 {
 
-bool
-faultTypeFromName(const std::string &name, FaultType &out)
+/** One directive: its name, whether it targets a shard link
+ *  (federated engine only) rather than a node, whether it covers a
+ *  window of quanta, and the name of the one further operand some
+ *  take: probe-timeout's failures, or a stall in cycles. */
+struct FaultForm
 {
-    for (FaultType t :
-         {FaultType::NodeCrash, FaultType::NodeRestart,
-          FaultType::ProbeDrop, FaultType::ProbeTimeout,
-          FaultType::DuplicateReply, FaultType::SlowQuantum,
-          FaultType::LinkDrop, FaultType::LinkDup,
-          FaultType::LinkDelay, FaultType::Partition}) {
-        if (name == faultTypeName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
+    const char *name;
+    bool shard;
+    bool window;
+    const char *extra = nullptr;
+};
+
+/** Every directive, in FaultType order. Each line is the name, the
+ *  target and the quantum, then the window length and the further
+ *  operand, either of which may be left out. */
+constexpr FaultForm faultForms[] = {
+    {"crash", false, false},
+    {"restart", false, false},
+    {"probe-drop", false, true},
+    {"probe-timeout", false, true, "failures"},
+    {"dup-reply", false, true},
+    {"slow-quantum", false, true, "stall_cycles"},
+    {"link-drop", true, true},
+    {"link-dup", true, true},
+    {"link-delay", true, true, "delay_cycles"},
+    {"partition", true, true},
+};
+static_assert(std::size(faultForms) ==
+              static_cast<std::size_t>(FaultType::Partition) + 1);
+
+const FaultForm &
+formOf(FaultType t)
+{
+    return faultForms[static_cast<std::size_t>(t)];
 }
 
+/** Read one line's words into @p spec; false, with @p why set, if the
+ *  line is not a directive of the table. */
 bool
-hasWindow(FaultType t)
+readDirective(const std::vector<std::string_view> &w, FaultSpec &spec,
+              std::string &why)
 {
-    return t != FaultType::NodeCrash && t != FaultType::NodeRestart;
+    const std::size_t i = findForm(faultForms, w[0]);
+    if (i == std::size(faultForms)) {
+        why = "unknown fault type '" + std::string(w[0]) + "'";
+        return false;
+    }
+    const FaultForm &f = faultForms[i];
+    spec.type = static_cast<FaultType>(i);
+    const std::string usage =
+        std::string(f.name) + (f.shard ? " <shard>" : " <node>") +
+        " <quantum>" + (f.window ? " [quanta]" : "") +
+        (f.extra != nullptr ? " [" + std::string(f.extra) + "]" : "");
+    if (!checkWordCount(w, 3, 3 + f.window + (f.extra != nullptr), usage,
+                        why) ||
+        !readWord(w[1], spec.node, f.shard ? "shard" : "node", why, 0) ||
+        !readWord(w[2], spec.quantum, "quantum", why) ||
+        (w.size() > 3 && !readWord(w[3], spec.durationQuanta, "quanta",
+                                   why, std::uint64_t{1})))
+        return false;
+    if (w.size() < 5)
+        return true;
+    return spec.type == FaultType::ProbeTimeout
+               ? readWord(w[4], spec.failures, f.extra, why)
+               : readWord(w[4], spec.stallCycles, f.extra, why);
 }
 
 } // namespace
@@ -66,84 +85,34 @@ hasWindow(FaultType t)
 std::string
 FaultSpec::format() const
 {
-    std::ostringstream os;
-    os << faultTypeName(type) << " " << node << " " << quantum;
-    if (hasWindow(type))
-        os << " " << durationQuanta;
-    if (type == FaultType::ProbeTimeout)
-        os << " " << failures;
-    if (type == FaultType::SlowQuantum || type == FaultType::LinkDelay)
-        os << " " << stallCycles;
-    return os.str();
+    const FaultForm &f = formOf(type);
+    std::string s = std::string(f.name) + ' ' + std::to_string(node) + ' ' +
+                    std::to_string(quantum);
+    if (f.window)
+        s += ' ' + std::to_string(durationQuanta);
+    if (f.extra != nullptr)
+        s += ' ' + std::to_string(type == FaultType::ProbeTimeout
+                                      ? Cycle{failures}
+                                      : stallCycles);
+    return s;
 }
 
 std::string
 FaultPlan::summary() const
 {
-    if (faults.empty())
-        return "(empty)";
-    std::string s;
-    for (const FaultSpec &f : faults) {
-        if (!s.empty())
-            s += "; ";
-        s += f.format();
-    }
-    return s;
+    return faults.empty() ? "(empty)" : joinLines(faults, "; ");
 }
 
 void
 FaultPlan::write(std::ostream &os) const
 {
-    for (const FaultSpec &f : faults)
-        os << f.format() << "\n";
+    os << joinLines(faults, "\n", true);
 }
 
 bool
 FaultPlan::tryParse(std::istream &is, FaultPlan &out, std::string &error)
 {
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ls(line);
-        std::string word;
-        if (!(ls >> word))
-            continue; // blank / comment-only line
-        FaultSpec spec;
-        if (!faultTypeFromName(word, spec.type)) {
-            error = "line " + std::to_string(lineno) +
-                    ": unknown fault type '" + word + "'";
-            return false;
-        }
-        long long node = -1;
-        if (!(ls >> node >> spec.quantum) || node < 0) {
-            error = "line " + std::to_string(lineno) +
-                    ": expected '" + word + " <node> <quantum> ...'";
-            return false;
-        }
-        spec.node = static_cast<NodeId>(node);
-        if (hasWindow(spec.type)) {
-            if (ls >> spec.durationQuanta) {
-                if (spec.durationQuanta == 0) {
-                    error = "line " + std::to_string(lineno) +
-                            ": window length must be >= 1 quantum";
-                    return false;
-                }
-            } else {
-                spec.durationQuanta = 1;
-            }
-        }
-        if (spec.type == FaultType::ProbeTimeout)
-            ls >> spec.failures;
-        if (spec.type == FaultType::SlowQuantum ||
-            spec.type == FaultType::LinkDelay)
-            ls >> spec.stallCycles;
-        out.faults.push_back(spec);
-    }
-    return true;
+    return readSpecs(is, out.faults, error, readDirective);
 }
 
 FaultPlan
@@ -250,7 +219,7 @@ bool
 FaultPlan::hasLinkFaults() const
 {
     for (const FaultSpec &f : faults)
-        if (faultTargetsShard(f.type))
+        if (formOf(f.type).shard)
             return true;
     return false;
 }
@@ -259,7 +228,7 @@ void
 FaultPlan::validate(int nodes, int shards) const
 {
     for (const FaultSpec &f : faults) {
-        if (faultTargetsShard(f.type)) {
+        if (formOf(f.type).shard) {
             if (shards <= 0)
                 cmpqos_fatal("fault plan contains shard-link faults "
                              "('%s') but the engine is not federated",
@@ -273,7 +242,8 @@ FaultPlan::validate(int nodes, int shards) const
                          "nodes ('%s')",
                          f.node, nodes, f.format().c_str());
         }
-        if (hasWindow(f.type) && f.durationQuanta == 0)
+        // A plan built in code gets the window bound a read one does.
+        if (formOf(f.type).window && f.durationQuanta == 0)
             cmpqos_fatal("fault plan window must cover >= 1 quantum "
                          "('%s')",
                          f.format().c_str());

@@ -12,23 +12,11 @@
  *
  * Plans have a line-oriented text form (one directive per line, `#`
  * comments), so failing cases can be copied straight out of a test
- * log into `cluster_driver --fault-plan`:
- *
- *     crash <node> <quantum>
- *     restart <node> <quantum>
- *     probe-drop <node> <quantum> [quanta]
- *     probe-timeout <node> <quantum> [quanta] [failures]
- *     dup-reply <node> <quantum> [quanta]
- *     slow-quantum <node> <quantum> [quanta] [stall_cycles]
- *
- * Shard-link directives (federated engine only; the target id names a
- * SHARD, not a node — a plan containing them is rejected by the
- * single-process engine):
- *
- *     link-drop <shard> <quantum> [quanta]
- *     link-dup <shard> <quantum> [quanta]
- *     link-delay <shard> <quantum> [quanta] [delay_cycles]
- *     partition <shard> <quantum> [quanta]
+ * log into `cluster_driver --fault-plan`. The directives and their
+ * operands are one table in plan.cc, which FaultSpec::format writes
+ * and FaultPlan::tryParse reads (DESIGN.md §9 lists them). The four
+ * shard-link directives name a SHARD, not a node; the single-process
+ * engine rejects a plan containing them.
  */
 
 #ifndef CMPQOS_FAULT_PLAN_HH
@@ -76,12 +64,6 @@ enum class FaultType
      *  partition heals (target is a shard id). */
     Partition,
 };
-
-const char *faultTypeName(FaultType t);
-
-/** True when the fault targets a shard link (federated engine only)
- *  rather than a node. */
-bool faultTargetsShard(FaultType t);
 
 /** One planned fault. */
 struct FaultSpec

@@ -284,13 +284,12 @@ ShardBackend::startShard(Shard &shard)
         }
         ::close(fds[1]);
         shard.pid = pid;
-        shard.link =
-            std::make_unique<UdsLink>(fds[0], federation_.maxFrame);
+        shard.link = std::make_unique<UdsLink>(fds[0]);
         return;
     }
 
     auto pair = federation_.transport == FedTransport::Uds
-                    ? makeSocketLinkPair(federation_.maxFrame)
+                    ? makeSocketLinkPair()
                     : makeInprocLinkPair();
     shard.link = std::move(pair.first);
     // In-process backend: the controller serves on its own thread.

@@ -75,8 +75,6 @@ struct FederationConfig
      *  Pass the coordinator hub's capacity so drop behaviour matches
      *  the single-process engine. */
     std::size_t telemetryRing = 0;
-    /** Hard ceiling on one transport frame. */
-    std::size_t maxFrame = fedMaxFrame;
 };
 
 /**

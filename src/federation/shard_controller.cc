@@ -259,6 +259,16 @@ ShardController::onInit(const FedInit &m)
     if (m.nodeCount <= 0 ||
         m.nodeSeeds.size() != static_cast<std::size_t>(m.nodeCount))
         return FedError{"malformed init: node count / seed mismatch"};
+    // Both sizes come off the wire: refuse them before any ring or
+    // worker thread exists.
+    if (m.ringCapacity > maxRingCapacity)
+        return FedError{"malformed init: ring_capacity " +
+                        std::to_string(m.ringCapacity) + " is above " +
+                        std::to_string(maxRingCapacity)};
+    if (m.threads > ThreadPool::maxThreads)
+        return FedError{"malformed init: threads " +
+                        std::to_string(m.threads) + " is above " +
+                        std::to_string(ThreadPool::maxThreads)};
 
     ControllerConfig control;
     if (!m.control.empty()) {

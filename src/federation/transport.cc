@@ -63,8 +63,7 @@ makeInprocLinkPair()
 
 // --- socket backend ------------------------------------------------
 
-UdsLink::UdsLink(int fd, std::size_t max_frame)
-    : fd_(fd), maxFrame_(max_frame)
+UdsLink::UdsLink(int fd) : fd_(fd)
 {
     cmpqos_assert(fd >= 0, "UdsLink needs a valid fd");
 }
@@ -81,7 +80,7 @@ UdsLink::send(const std::string &payload)
         error_ = "send on closed link";
         return false;
     }
-    cmpqos_assert(payload.size() >= 9 && payload.size() <= maxFrame_,
+    cmpqos_assert(payload.size() >= 9 && payload.size() <= fedMaxFrame,
                   "refusing to send %zu-byte frame", payload.size());
     std::string frame;
     appendFrameLength(frame, static_cast<std::uint32_t>(payload.size()));
@@ -108,7 +107,7 @@ UdsLink::recv(std::string &payload)
 {
     std::string err;
     for (;;) {
-        switch (extractFedFrame(rxBuffer_, payload, err, maxFrame_)) {
+        switch (extractFedFrame(rxBuffer_, payload, err)) {
           case FedFrameStatus::Ok:
             return true;
           case FedFrameStatus::Error:
@@ -152,13 +151,13 @@ UdsLink::close()
 }
 
 std::pair<std::unique_ptr<Link>, std::unique_ptr<Link>>
-makeSocketLinkPair(std::size_t max_frame)
+makeSocketLinkPair()
 {
     int fds[2];
     const int rc = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds);
     cmpqos_assert(rc == 0, "socketpair: %s", std::strerror(errno));
-    return {std::make_unique<UdsLink>(fds[0], max_frame),
-            std::make_unique<UdsLink>(fds[1], max_frame)};
+    return {std::make_unique<UdsLink>(fds[0]),
+            std::make_unique<UdsLink>(fds[1])};
 }
 
 } // namespace cmpqos

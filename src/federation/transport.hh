@@ -116,7 +116,7 @@ class UdsLink : public Link
 {
   public:
     /** Takes ownership of @p fd (closed on destruction). */
-    explicit UdsLink(int fd, std::size_t max_frame = fedMaxFrame);
+    explicit UdsLink(int fd);
     ~UdsLink() override;
 
     bool send(const std::string &payload) override;
@@ -126,7 +126,6 @@ class UdsLink : public Link
 
   private:
     int fd_;
-    std::size_t maxFrame_;
     std::string rxBuffer_;
     std::string error_;
 };
@@ -134,7 +133,7 @@ class UdsLink : public Link
 /** A connected UdsLink pair over socketpair(AF_UNIX, SOCK_STREAM).
  *  Aborts on resource exhaustion (fd limit). */
 std::pair<std::unique_ptr<Link>, std::unique_ptr<Link>>
-makeSocketLinkPair(std::size_t max_frame = fedMaxFrame);
+makeSocketLinkPair();
 
 } // namespace cmpqos
 

@@ -17,6 +17,10 @@ namespace cmpqos
 namespace
 {
 
+/** Connect retries after the first try, spaced ~50ms apart, so a
+ *  just-started daemon has time to bind. */
+constexpr int connectRetries = 100;
+
 int
 openSocket(const ClientOptions &opts, std::string &err)
 {
@@ -95,7 +99,7 @@ QosClient::connect(std::string &err)
         fd_ = openSocket(opts_, err);
         if (fd_ >= 0)
             break;
-        if (attempt >= opts_.connectRetries)
+        if (attempt >= connectRetries)
             return false;
         // qoslint:allow(wall-clock): host-side connect backoff while
         // the daemon binds its socket; the retry loop runs before any
@@ -185,7 +189,7 @@ QosClient::nextMessage(Message &out, std::string &err, int timeout_ms)
     for (;;) {
         if (!rx_.empty()) {
             DecodeResult r =
-                decodeFrame(rx_, opts_.mode, opts_.maxFrame);
+                decodeFrame(rx_, opts_.mode, defaultMaxFrame);
             if (r.consumed > 0)
                 rx_.erase(0, r.consumed);
             if (r.status == DecodeResult::Status::Ok) {

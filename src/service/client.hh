@@ -36,12 +36,8 @@ struct ClientOptions
     int tcpPort = 0;
     /** Wire mode to speak (JSONL is for debugging). */
     WireMode mode = WireMode::Binary;
-    std::size_t maxFrame = defaultMaxFrame;
     /** Free-form name reported in the handshake. */
     std::string clientName = "qos-client";
-    /** Connect retry budget: attempts spaced ~50ms apart, so a
-     *  just-started daemon has time to bind (0 = single try). */
-    int connectRetries = 100;
 };
 
 /** One synchronous connection to qosd. */

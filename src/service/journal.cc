@@ -43,8 +43,7 @@ SubmissionJournal::append(Cycle time, const std::string &benchmark,
                   static_cast<unsigned long long>(time),
                   static_cast<unsigned long long>(lastTime_));
     lastTime_ = time;
-    out_ << time << ' ' << benchmark << ' ' << qosTierName(tier) << ' '
-         << instructions << '\n';
+    ArrivalLine{time, benchmark, tier, instructions}.write(out_);
     out_.flush();
     if (!out_)
         cmpqos_fatal("journal '%s': write failed (disk full?)",

@@ -4,7 +4,8 @@
  *
  * Every submission an epoch offers to admission — accepted AND
  * rejected, in the exact order the engine placed them — is appended
- * as one line of the existing arrival-trace grammar
+ * as one ArrivalLine (cluster/arrival.hh), the definition
+ * TraceArrivalProcess reads back, with every column written
  * (`<time> <benchmark> <tier> <instructions>`), preceded by a comment
  * header recording the epoch's full EpochConfig and the
  * cluster_driver command that replays it. Rejections must be logged

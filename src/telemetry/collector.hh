@@ -27,10 +27,6 @@
 namespace cmpqos
 {
 
-/** The most ring slots a tool's --trace-capacity flag may ask for
- *  (~1.4GB of events per producer). */
-constexpr std::size_t maxRingCapacity = std::size_t{1} << 24;
-
 /** Collector configuration. */
 struct TelemetryConfig
 {

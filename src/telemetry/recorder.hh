@@ -4,9 +4,7 @@
  * instrumented layers talk to.
  *
  * Cost model, proven by bench/ext_telemetry_overhead:
- *  - compiled out (CMPQOS_TELEMETRY=OFF): active() is constant false
- *    and every emit call folds away entirely;
- *  - compiled in, runtime-disabled: active() is a null check plus one
+ *  - runtime-disabled: active() is a null check plus one
  *    relaxed atomic load and a branch — callers guard event
  *    construction behind it, so a disabled run does no other work;
  *  - enabled: one struct copy into a lock-free SPSC ring; a full ring
@@ -22,13 +20,6 @@
 
 namespace cmpqos
 {
-
-/** Whether telemetry is compiled into this build at all. */
-#ifdef CMPQOS_TELEMETRY_DISABLED
-constexpr bool telemetryCompiledIn = false;
-#else
-constexpr bool telemetryCompiledIn = true;
-#endif
 
 /**
  * One producer's event channel: a ring plus a drop counter, gated by
@@ -62,8 +53,6 @@ class TraceRecorder
     bool
     active() const
     {
-        if constexpr (!telemetryCompiledIn)
-            return false;
         return enabled_->load(std::memory_order_relaxed);
     }
 
@@ -74,8 +63,6 @@ class TraceRecorder
     void
     emit(TraceEvent e)
     {
-        if constexpr (!telemetryCompiledIn)
-            return;
         if (!active())
             return;
         e.node = node_;

@@ -21,7 +21,9 @@
 #ifndef CMPQOS_TELEMETRY_RING_HH
 #define CMPQOS_TELEMETRY_RING_HH
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -33,18 +35,25 @@
 namespace cmpqos
 {
 
+/** The most slots a ring may ask for (~1.4GB of events per
+ *  producer); the tool flags and a shard's FedInit are held to it. */
+constexpr std::size_t maxRingCapacity = std::size_t{1} << 24;
+
 /**
  * Lock-free SPSC ring of TraceEvents.
  */
 class SpscEventRing
 {
   public:
-    /** @param capacity slots; rounded up to a power of two, >= 2. */
+    /** @param capacity slots, at most maxRingCapacity; rounded up to
+     *  a power of two, >= 2. */
     explicit SpscEventRing(std::size_t capacity)
     {
-        std::size_t cap = 2;
-        while (cap < capacity)
-            cap <<= 1;
+        cmpqos_assert(capacity <= maxRingCapacity,
+                      "ring capacity %zu is above %zu", capacity,
+                      maxRingCapacity);
+        const std::size_t cap =
+            std::bit_ceil(std::max<std::size_t>(capacity, 2));
         slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
         mask_ = cap - 1;
     }

@@ -111,6 +111,31 @@ case_driver() {
     else
         echo "ok: malformed plan rejected with line number"
     fi
+
+    # 4. A word after the last operand, and a count that is not one
+    # whole number, fail the same way: fatal, naming the line.
+    printf 'crash 1 2\ncrash 0 5 junk\n' >"$WORK/trailing.plan"
+    expect_fatal "line 2" --fault-plan "$WORK/trailing.plan"
+    printf '0 bzip2 gold\n100 bzip2 gold 12.5e3\n' >"$WORK/fraction.trace"
+    expect_fatal "fraction.trace:2:" --trace "$WORK/fraction.trace"
+}
+
+# A bad plan or trace line is fatal (exit 1), naming the line.
+expect_fatal() { # <needle> <cluster_driver args...>
+    local needle=$1 rc=0
+    shift
+    "$DRIVER" --nodes 2 --jobs 1 "$@" >"$WORK/fatal.out" 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "FAIL: cluster_driver $* exited $rc (want 1)" >&2
+        cat "$WORK/fatal.out" >&2
+        STATUS=1
+    elif ! grep -qF "$needle" "$WORK/fatal.out"; then
+        echo "FAIL: cluster_driver $* does not name '$needle':" >&2
+        cat "$WORK/fatal.out" >&2
+        STATUS=1
+    else
+        echo "ok: cluster_driver $* refused at '$needle'"
+    fi
 }
 
 case_dump() {

@@ -180,6 +180,25 @@ TEST(Arrival, BoundsRefuseOverflowingArrivals)
     EXPECT_NE(arrivalBoundsError(maxArrivalTime + 1, 1), "");
     EXPECT_NE(arrivalBoundsError(0, 0), "");
     EXPECT_NE(arrivalBoundsError(0, maxArrivalInstructions + 1), "");
+
+    // At the edges of both bounds, a line the journal writes reads
+    // back through the trace as the same arrival.
+    for (const Cycle time : {Cycle{0}, maxArrivalTime}) {
+        for (const InstCount instructions :
+             {InstCount{1}, maxArrivalInstructions}) {
+            std::ostringstream os;
+            ArrivalLine{time, "hmmer", QosTier::Silver, instructions}.write(
+                os);
+            std::istringstream in(os.str());
+            TraceArrivalProcess p(in, ArrivalMix::defaults());
+            const std::vector<ClusterArrival> got = collect(p);
+            ASSERT_EQ(got.size(), 1u) << os.str();
+            EXPECT_EQ(got[0].time, time);
+            EXPECT_EQ(got[0].tier, QosTier::Silver);
+            EXPECT_EQ(got[0].request.benchmark, "hmmer");
+            EXPECT_EQ(got[0].instructions, instructions);
+        }
+    }
 }
 
 void
@@ -203,6 +222,16 @@ TEST(TraceArrivalDeathTest, OutOfRangeArrivalsAreFatal)
                 "storm.trace:1: instruction count 18446744073709551615");
     EXPECT_EXIT(parseTrace("# header\n0 bzip2 gold 0\n"),
                 ExitedWithCode(1), "storm.trace:2: instruction count 0");
+    // A number is one whole unsigned word, and nothing follows the
+    // count.
+    EXPECT_EXIT(parseTrace("0 bzip2 gold 12.5e3\n"), ExitedWithCode(1),
+                "storm.trace:1: instruction count '12.5e3'");
+    EXPECT_EXIT(parseTrace("0 bzip2 gold 500000x\n"), ExitedWithCode(1),
+                "storm.trace:1: instruction count '500000x'");
+    EXPECT_EXIT(parseTrace("0 bzip2 gold 5000 extra\n"),
+                ExitedWithCode(1), "storm.trace:1: unexpected 'extra'");
+    EXPECT_EXIT(parseTrace("-5 bzip2 gold\n"), ExitedWithCode(1),
+                "storm.trace:1: arrival time '-5'");
     // The Poisson process checks its mix's count the same way.
     ArrivalMix mix = ArrivalMix::defaults();
     mix.instructions = 0;

@@ -159,8 +159,6 @@ TEST(ControllerOff, ExportsCarryNoControllerFields)
 
 TEST(ControllerOff, TraceStreamMatchesPreControllerGolden)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     std::ifstream in(std::string(CMPQOS_CONTROL_GOLDEN_DIR) +
                      "/trace_off_t1.jsonl");
     ASSERT_TRUE(in) << "golden trace missing";

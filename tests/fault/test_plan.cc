@@ -80,6 +80,19 @@ TEST(FaultPlan, MissingOperandFails)
     FaultPlan plan;
     std::string error;
     EXPECT_FALSE(FaultPlan::tryParse(is, plan, error));
+
+    // An operand is one whole word in its field's range, an optional
+    // one that is present must be valid, and nothing follows the last.
+    for (const char *line :
+         {"crash 0 5 junk", "crash 1 2.5", "crash 0 -1",
+          "crash 2147483648 1", "slow-quantum 1 2 3 -5",
+          "probe-timeout 0 3 2 abc", "probe-drop 0 1 2.5"}) {
+        std::istringstream bad(line);
+        FaultPlan out;
+        EXPECT_FALSE(FaultPlan::tryParse(bad, out, error)) << line;
+        EXPECT_NE(error.find("line 1"), std::string::npos)
+            << line << ": " << error;
+    }
 }
 
 TEST(FaultPlan, RandomIsDeterministicPerSeed)

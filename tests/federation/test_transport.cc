@@ -208,6 +208,37 @@ TEST_F(ServedController, VersionSkewedInitIsRejected)
     send(3, FedShutdown{});
 }
 
+// FedInit's ring and pool sizes come off the wire: a size above the
+// bound is refused with a FedError naming the field, before any ring
+// is allocated or any worker thread started.
+TEST_F(ServedController, OversizedRingCapacityIsRejected)
+{
+    FedInit huge = init();
+    huge.telemetry = 1;
+    huge.ringCapacity = (std::uint64_t{1} << 63) + 1;
+    send(1, huge);
+    const FedMessage reply = expectReply();
+    const auto *err = std::get_if<FedError>(&reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_NE(err->message.find("ring_capacity"), std::string::npos)
+        << err->message;
+    send(2, FedShutdown{});
+}
+
+TEST_F(ServedController, ThreadCountAboveTheMaximumIsRejected)
+{
+    FedInit many = init();
+    many.telemetry = 1;
+    many.threads = ThreadPool::maxThreads + 1;
+    send(1, many);
+    const FedMessage reply = expectReply();
+    const auto *err = std::get_if<FedError>(&reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_NE(err->message.find("threads"), std::string::npos)
+        << err->message;
+    send(2, FedShutdown{});
+}
+
 TEST_F(ServedController, GarbagePayloadAnswersFedError)
 {
     ASSERT_TRUE(coord_->send("\x01\x02\x03garbage that is long "

@@ -132,6 +132,17 @@ TEST(ConnFault, ParseSkipsCommentsAndNamesBadLines)
     EXPECT_FALSE(ConnFaultPlan::tryParse(bad, out, err));
     EXPECT_NE(err.find("line 2"), std::string::npos)
         << "error should name the line: " << err;
+
+    // A present seed must be a number, nothing follows the last
+    // operand, and an unsigned operand takes no sign.
+    for (const char *line :
+         {"garbage 10 abc", "truncate 7 extra", "corrupt -1"}) {
+        std::istringstream in(std::string("truncate 3\n") + line + "\n");
+        ConnFaultPlan refused;
+        EXPECT_FALSE(ConnFaultPlan::tryParse(in, refused, err)) << line;
+        EXPECT_NE(err.find("line 2"), std::string::npos)
+            << line << ": " << err;
+    }
 }
 
 } // namespace

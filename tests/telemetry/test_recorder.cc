@@ -50,15 +50,13 @@ TEST(TraceRecorder, ActiveTracksRuntimeToggle)
     EXPECT_EQ(rec.drops(), 0u);
 
     on.store(true);
-    EXPECT_EQ(rec.active(), telemetryCompiledIn);
+    EXPECT_TRUE(rec.active());
     rec.emit(event(2));
-    EXPECT_EQ(rec.ring().size(), telemetryCompiledIn ? 1u : 0u);
+    EXPECT_EQ(rec.ring().size(), 1u);
 }
 
 TEST(TraceRecorder, StampsProducerNode)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     std::atomic<bool> on{true};
     TraceRecorder rec(5, 8, &on);
     TraceEvent e = event(7);
@@ -72,8 +70,6 @@ TEST(TraceRecorder, StampsProducerNode)
 
 TEST(TraceRecorder, CountsDropsOnFullRing)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     std::atomic<bool> on{true};
     TraceRecorder rec(0, 4, &on);
     for (int i = 0; i < 10; ++i)
@@ -84,8 +80,6 @@ TEST(TraceRecorder, CountsDropsOnFullRing)
 
 TEST(TraceCollector, DrainsProducersInOrder)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     TraceCollector collector(3); // driver + 2 nodes
     RecordingSink sink;
     collector.addSink(&sink);
@@ -121,13 +115,11 @@ TEST(TraceCollector, RuntimeDisableSilencesAllProducers)
 
     collector.setEnabled(true);
     collector.nodeRecorder(0)->emit(event(3));
-    EXPECT_EQ(collector.drain(), telemetryCompiledIn ? 1u : 0u);
+    EXPECT_EQ(collector.drain(), 1u);
 }
 
 TEST(TraceCollector, FinishDrainsAndClosesOnce)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig config;
     config.ringCapacity = 4;
     TraceCollector collector(2, config);

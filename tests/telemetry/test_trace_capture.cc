@@ -114,8 +114,6 @@ TEST(TraceCapture, TracingDoesNotPerturbDeterminism)
 
 TEST(TraceCapture, EventStreamByteIdenticalAcrossThreadCounts)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     // Acceptance criterion: the delivered event stream (host-side
     // meta line excluded) is byte-identical at 1, 2 and 4 workers.
     const CaptureRun r1 = runTraced(1);
@@ -130,8 +128,6 @@ TEST(TraceCapture, EventStreamByteIdenticalAcrossThreadCounts)
 
 TEST(TraceCapture, CaptureCoversTheJobLifecycle)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     const CaptureRun run = runTraced(2);
     // Every submitted arrival leaves a driver-side record.
     EXPECT_EQ(countOf(run.jsonl, "\"ev\":\"job-submitted\""), 24u);
@@ -160,8 +156,6 @@ TEST(TraceCapture, RuntimeDisabledCaptureIsEmpty)
 
 TEST(TraceCapture, TinyRingsDropInsteadOfPerturbing)
 {
-    if (!telemetryCompiledIn)
-        GTEST_SKIP() << "telemetry compiled out";
     // Saturated rings shed events; the simulation itself must be
     // unaffected, and what IS delivered stays thread-count-invariant
     // because drops are per-ring deterministic.

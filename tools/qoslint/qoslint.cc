@@ -53,9 +53,11 @@ main(int argc, char **argv)
 #ifndef CMPQOS_BUILD_OPTIONS
 #define CMPQOS_BUILD_OPTIONS ""
 #endif
+        const char *options = CMPQOS_BUILD_OPTIONS;
         std::printf("qoslint (cmpqos " CMPQOS_VERSION_STRING
                     ", git " CMPQOS_GIT_HASH ", " CMPQOS_BUILD_TYPE
-                    ", " CMPQOS_BUILD_OPTIONS ")\n");
+                    "%s%s)\n",
+                    options[0] != '\0' ? ", " : "", options);
         return 0;
     }
     const std::string sub = args[0];
