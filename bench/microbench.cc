@@ -1,7 +1,7 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
- * partitioned-L2 access path (steady and under job churn), the L1,
+ * partitioned-L2 access path (misses, hits and job churn), the L1,
  * the duplicate tag array, the stack-distance sampler, the generator,
  * a whole node's advance, generator setup, and the LAC admission test
  * — the hot paths of the simulator and framework.
@@ -46,6 +46,31 @@ BENCHMARK(BM_PartitionedCacheAccess)
     ->Arg(static_cast<int>(PartitionScheme::None))
     ->Arg(static_cast<int>(PartitionScheme::Global))
     ->Arg(static_cast<int>(PartitionScheme::PerSet));
+
+/**
+ * The hit path: a 7-way Reserved core draws loads and stores from a
+ * working set of 7 blocks per set, which its partition holds, so only
+ * the first touch of each block misses.
+ */
+void
+BM_PartitionedCacheHit(benchmark::State &state)
+{
+    PartitionedCache l2(CacheConfig::l2Default(), 4, PartitionScheme::PerSet);
+    l2.setTargetWays(0, 7);
+    l2.setCoreClass(0, CoreClass::Reserved);
+    const std::uint64_t blocks = 7 * l2.config().numSets();
+    Rng rng(6);
+    std::uint64_t hits = 0;
+    for (auto _ : state) {
+        const std::uint64_t r = rng.next();
+        const Addr block = ((r >> 32) * blocks) >> 32; // uniform below blocks
+        hits += l2.access(0, block << 6, (r & 3) == 0).hit;
+    }
+    state.counters["hit_ratio"] = static_cast<double>(hits) /
+                                  static_cast<double>(state.iterations());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PartitionedCacheHit);
 
 /**
  * Job churn on a 4-core L2: two Reserved and two Opportunistic cores

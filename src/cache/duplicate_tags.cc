@@ -16,7 +16,8 @@ sampledSetsOf(const CacheConfig &l2, unsigned ways, unsigned period)
     l2.validate();
     cmpqos_assert(ways > 0 && ways <= l2.assoc,
                   "baseline ways %u out of range", ways);
-    cmpqos_assert(period > 0, "sample period must be positive");
+    cmpqos_assert(isPowerOfTwo(period),
+                  "sample period %u is not a power of two", period);
     return (l2.numSets() + period - 1) / period;
 }
 
@@ -26,7 +27,7 @@ DuplicateTagArray::DuplicateTagArray(const CacheConfig &l2_config,
                                      unsigned baseline_ways,
                                      unsigned sample_period)
     : l2Config_(l2_config), baselineWays_(baseline_ways),
-      samplePeriod_(sample_period),
+      samplePeriod_(sample_period), sampleShift_(floorLog2(sample_period)),
       sampledSets_(sampledSetsOf(l2_config, baseline_ways, sample_period)),
       blockShift_(floorLog2(l2Config_.blockSize)),
       setMask_(l2Config_.numSets() - 1),
@@ -39,7 +40,7 @@ DuplicateTagArray::observe(Addr addr, bool main_hit)
 {
     const Addr block_addr = addr >> blockShift_;
     const std::uint64_t set = block_addr & setMask_;
-    if (!isSampled(set))
+    if ((set & (samplePeriod_ - 1)) != 0)
         return false;
 
     ++sampledAccesses_;
@@ -47,7 +48,7 @@ DuplicateTagArray::observe(Addr addr, bool main_hit)
         ++mainMisses_;
 
     // Plain LRU within the shadow partition.
-    const std::uint64_t shadow_set = set / samplePeriod_;
+    const std::uint64_t shadow_set = set >> sampleShift_;
     const int way = shadow_.find(shadow_set, block_addr);
     if (way >= 0) {
         shadow_.touch(shadow_set, static_cast<unsigned>(way), false);

@@ -40,8 +40,8 @@ class DuplicateTagArray
      * @param baseline_ways the job's reserved way count before any
      *        stealing; the shadow models a private baseline_ways-way
      *        partition
-     * @param sample_period shadow every sample_period-th set
-     *        (8 in the paper)
+     * @param sample_period shadow every sample_period-th set, a power
+     *        of two (8 in the paper)
      */
     DuplicateTagArray(const CacheConfig &l2_config, unsigned baseline_ways,
                       unsigned sample_period = 8);
@@ -93,14 +93,10 @@ class DuplicateTagArray
     void reset();
 
   private:
-    bool isSampled(std::uint64_t set) const
-    {
-        return set % samplePeriod_ == 0;
-    }
-
     CacheConfig l2Config_;
     unsigned baselineWays_;
     unsigned samplePeriod_;
+    unsigned sampleShift_; // log2(samplePeriod_)
     std::uint64_t sampledSets_;
     unsigned blockShift_;
     std::uint64_t setMask_;

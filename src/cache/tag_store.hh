@@ -1,30 +1,34 @@
 /**
  * @file
  * The tag-store kernel under every tag array: the private L1s, the
- * partitioned L2 and the duplicate tags.
+ * partitioned L2 and the duplicate tags (DESIGN.md §3.1).
  *
- * Each set keeps, contiguously:
- *  - one 8-byte tag per way, the block address (emptyTag when the
- *    way holds nothing);
- *  - per owner, a mask of the ways it holds (bit w for way w);
- *  - a mask of the dirty ways;
- *  - a recency order: one byte per way naming a way, LRU first.
- * The owners' way counts sit apart, one byte each in a dense array,
- * so a sweep over every set's occupancy reads a few host cache lines
- * rather than one per set.
+ * Each set keeps one record: three byte lanes with one byte per way,
+ * padded to a multiple of 16 ways so that SSE2 compares 16 ways at a
+ * time, then a mask of the dirty ways and one 8-byte tag per way (the
+ * block address, emptyTag when the way holds nothing). The lanes are:
+ *  - digests: the top 8 bits of a multiplicative hash of the tag;
+ *  - ages: 0 for the most recently used way up to ways-1 for the
+ *    least recently used one, empty ways included;
+ *  - owners: the way's owner, emptyOwner when the way is empty.
+ * Padding lanes hold padAge and padOwner, which no compare selects.
+ * The owners' way counts sit apart in a dense byte array, so a sweep
+ * over every set's occupancy reads few host cache lines.
  *
- * A replacement rule is then a union of owner masks, and its victim
- * the first way of that union in recency order. This is exact with
- * respect to stamped blocks, where every touch takes the next value
- * of a counter that only a flush clears after invalidating
- * everything: the stamps of a set's valid blocks are distinct and
- * order them as the recency list does, so the least-stamped block of
- * any subset is the subset's first way in recency order. Empty ways
- * are taken lowest index first.
+ * A replacement rule is a mask of ways, and its victim the candidate
+ * of the largest age. Ages order a set's ways as the stamps of stamped
+ * blocks do, reversed, so this is exact with respect to them. Empty
+ * ways are taken lowest index first.
  */
 
 #ifndef CMPQOS_CACHE_TAG_STORE_HH
 #define CMPQOS_CACHE_TAG_STORE_HH
+
+#ifndef __SSE2__
+#error "TagStore compares 16 ways at a time with SSE2 (the x86-64 baseline)"
+#endif
+
+#include <emmintrin.h>
 
 #include <algorithm>
 #include <bit>
@@ -70,16 +74,23 @@ class TagStore
 
     /** @p ways at most maxWays; owners are 0..owners-1. */
     TagStore(std::uint64_t sets, unsigned ways, int owners)
-        : ways_(ways), owners_(owners),
+        : ways_(ways), lanes_((ways + 15) / 16 * 16), owners_(owners),
           all_(ways >= maxWays ? ~WayMask{0} : (WayMask{1} << ways) - 1),
-          dirtyAt_(ways + static_cast<unsigned>(owners)),
-          orderAt_(dirtyAt_ + 1), stride_(orderAt_ + (ways + 7) / 8),
+          dirtyAt_(3 * lanes_ / 8), stride_(dirtyAt_ + 1 + ways),
           words_(sets * stride_),
           counts_(sets * static_cast<std::uint64_t>(owners))
     {
+        cmpqos_assert(sets > 0, "need at least one set");
         cmpqos_assert(ways > 0 && ways <= maxWays, "%u ways", ways);
-        cmpqos_assert(owners > 0, "need at least one owner");
+        cmpqos_assert(owners > 0 && owners < padOwner, "%d owners", owners);
         clear();
+    }
+
+    /** The byte a lookup compares before the full tag. */
+    static std::uint8_t
+    digest(Addr tag)
+    {
+        return static_cast<std::uint8_t>((tag * 0x9E3779B97F4A7C15ULL) >> 56);
     }
 
     /** Every way of a set. */
@@ -89,10 +100,11 @@ class TagStore
     int
     find(std::uint64_t set, Addr tag) const
     {
-        const Addr *tags = &words_[set * stride_];
-        for (unsigned w = 0; w < ways_; ++w)
-            if (tags[w] == tag)
-                return static_cast<int>(w);
+        const Addr *tags = &words_[set * stride_ + dirtyAt_ + 1];
+        for (WayMask m = match(set, Digest, digest(tag)) & all_; m != 0;
+             m &= m - 1)
+            if (tags[lowestWay(m)] == tag)
+                return static_cast<int>(lowestWay(m));
         return -1;
     }
 
@@ -100,7 +112,7 @@ class TagStore
     WayMask
     owned(std::uint64_t set, int owner) const
     {
-        return words_[set * stride_ + ways_ + static_cast<unsigned>(owner)];
+        return match(set, Owner, static_cast<std::uint8_t>(owner));
     }
 
     /** Number of ways of @p set that @p owner holds. */
@@ -124,35 +136,38 @@ class TagStore
     unsigned
     lru(std::uint64_t set, WayMask candidates) const
     {
-        const std::uint8_t *order = recency(set);
-        for (unsigned i = 0; i < ways_; ++i)
-            if ((candidates >> order[i]) & 1)
-                return order[i];
-        cmpqos_panic("no victim among candidate ways");
+        if (candidates == 0)
+            cmpqos_panic("no victim among candidate ways");
+        // Candidate ages (0 elsewhere), folded to their maximum in lane 0.
+        const std::uint8_t *ages = lane(set, Age);
+        __m128i oldest = _mm_setzero_si128();
+        for (unsigned g = 0; g < lanes_; g += 16) {
+            const __m128i picked =
+                _mm_and_si128(load(ages + g), spread(candidates >> g));
+            oldest = _mm_max_epu8(oldest, picked);
+        }
+        oldest = _mm_max_epu8(oldest, _mm_srli_si128(oldest, 8));
+        oldest = _mm_max_epu8(oldest, _mm_srli_si128(oldest, 4));
+        oldest = _mm_max_epu8(oldest, _mm_srli_si128(oldest, 2));
+        oldest = _mm_max_epu8(oldest, _mm_srli_si128(oldest, 1));
+        const auto age = static_cast<std::uint8_t>(_mm_cvtsi128_si32(oldest));
+        return lowestWay(match(set, Age, age) & candidates);
     }
 
     /** Plain LRU replacement: the lowest empty way, else the LRU way. */
     unsigned
     lruVictim(std::uint64_t set) const
     {
-        WayMask held = 0;
-        for (int o = 0; o < owners_; ++o)
-            held |= owned(set, o);
-        return held != all_ ? lowestWay(all_ & ~held) : recency(set)[0];
+        const WayMask empty = match(set, Owner, emptyOwner);
+        return lowestWay(empty != 0 ? empty : match(set, Age, ways_ - 1));
     }
 
     /** A hit on @p way: it becomes most recently used; a write dirties it. */
     void
     touch(std::uint64_t set, unsigned way, bool is_write)
     {
-        if (is_write)
-            words_[set * stride_ + dirtyAt_] |= WayMask{1} << way;
-        // Search from the MRU end: a hit is mostly on a recent way.
-        std::uint8_t *order = recency(set);
-        unsigned i = ways_ - 1;
-        while (order[i] != way)
-            --i;
-        toMru(order, i);
+        words_[set * stride_ + dirtyAt_] |= WayMask{is_write} << way;
+        makeMru(set, way);
     }
 
     /**
@@ -165,50 +180,75 @@ class TagStore
          AccessResult &displaced)
     {
         const WayMask bit = WayMask{1} << way;
-        std::uint64_t *base = &words_[set * stride_];
-        WayMask &dirty_ways = base[dirtyAt_];
-        const int old = release(set, way);
+        WayMask &dirty_ways = words_[set * stride_ + dirtyAt_];
+        Addr &slot = words_[set * stride_ + dirtyAt_ + 1 + way];
+        const int old = setOwner(set, way, static_cast<std::uint8_t>(owner));
         if (old >= 0) {
             displaced.evicted = true;
-            displaced.victimAddr = base[way];
+            displaced.victimAddr = slot;
             displaced.writeback = (dirty_ways & bit) != 0;
         }
-        base[way] = tag;
-        base[ways_ + static_cast<unsigned>(owner)] |= bit;
+        slot = tag;
+        lane(set, Digest)[way] = digest(tag);
         ++counts_[countIndex(set, owner)];
-        dirty_ways = dirty ? dirty_ways | bit : dirty_ways & ~bit;
-        // Search from the LRU end: a victim is mostly an old way.
-        std::uint8_t *order = recency(set);
-        unsigned i = 0;
-        while (order[i] != way)
-            ++i;
-        toMru(order, i);
+        dirty_ways = (dirty_ways & ~bit) | WayMask{dirty} << way;
+        makeMru(set, way);
         return old;
     }
 
-    /** Empty @p way; its place in the recency order does not matter. */
+    /** Empty @p way; its age does not change. */
     void
     invalidate(std::uint64_t set, unsigned way)
     {
-        release(set, way);
-        words_[set * stride_ + way] = emptyTag;
+        setOwner(set, way, emptyOwner);
+        words_[set * stride_ + dirtyAt_ + 1 + way] = emptyTag;
     }
 
-    /** Empty every set. */
+    /** Empty every set: build the first one, then copy it. */
     void
     clear()
     {
-        std::fill(words_.begin(), words_.end(), 0);
-        std::fill(counts_.begin(), counts_.end(), 0);
-        for (std::uint64_t set = 0; set < words_.size() / stride_; ++set) {
-            std::fill_n(&words_[set * stride_], ways_, emptyTag);
-            std::uint8_t *order = recency(set);
-            for (unsigned w = 0; w < ways_; ++w)
-                order[w] = static_cast<std::uint8_t>(w);
+        std::uint64_t *first = words_.data();
+        std::fill_n(first, stride_, 0);
+        std::fill_n(first + dirtyAt_ + 1, ways_, emptyTag);
+        for (unsigned w = 0; w < lanes_; ++w) {
+            const bool real = w < ways_;
+            lane(0, Age)[w] =
+                static_cast<std::uint8_t>(real ? ways_ - 1 - w : padAge);
+            lane(0, Owner)[w] = real ? emptyOwner : padOwner;
         }
+        for (std::uint64_t at = stride_; at < words_.size(); at += stride_)
+            std::copy_n(first, stride_, first + at);
+        std::fill(counts_.begin(), counts_.end(), 0);
     }
 
   private:
+    /** The byte lanes of a set, in record order. */
+    enum Lane : unsigned { Digest, Age, Owner };
+
+    static constexpr std::uint8_t emptyOwner = 0xFF;
+    static constexpr std::uint8_t padOwner = 0xFE;
+    static constexpr std::uint8_t padAge = 127; // the largest signed byte
+
+    static __m128i
+    load(const std::uint8_t *p)
+    {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    }
+
+    /** 16 lanes, each 0xFF where its bit of @p bits (low 16) is set. */
+    static __m128i
+    spread(WayMask bits)
+    {
+        const __m128i select = _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, -128, 1,
+                                             2, 4, 8, 16, 32, 64, -128);
+        __m128i x = _mm_cvtsi32_si128(static_cast<int>(bits & 0xFFFF));
+        x = _mm_unpacklo_epi8(x, x);
+        x = _mm_unpacklo_epi16(x, x);
+        x = _mm_unpacklo_epi32(x, x); // low byte in lanes 0-7, high in 8-15
+        return _mm_cmpeq_epi8(_mm_and_si128(x, select), select);
+    }
+
     std::uint64_t
     countIndex(std::uint64_t set, int owner) const
     {
@@ -216,53 +256,69 @@ class TagStore
                static_cast<std::uint64_t>(owner);
     }
 
-    /** The recency order of @p set, LRU first. */
     const std::uint8_t *
-    recency(std::uint64_t set) const
+    lane(std::uint64_t set, Lane l) const
     {
-        return reinterpret_cast<const std::uint8_t *>(
-            &words_[set * stride_ + orderAt_]);
+        return reinterpret_cast<const std::uint8_t *>(&words_[set * stride_]) +
+               l * lanes_;
     }
     std::uint8_t *
-    recency(std::uint64_t set)
+    lane(std::uint64_t set, Lane l)
     {
-        return reinterpret_cast<std::uint8_t *>(
-            &words_[set * stride_ + orderAt_]);
+        return reinterpret_cast<std::uint8_t *>(&words_[set * stride_]) +
+               l * lanes_;
     }
 
-    /** Move the way at @p pos of a recency order to its MRU end. */
+    /** Ways of @p set whose lane @p l holds @p value. */
+    WayMask
+    match(std::uint64_t set, Lane l, std::uint8_t value) const
+    {
+        const std::uint8_t *bytes = lane(set, l);
+        const __m128i v = _mm_set1_epi8(static_cast<char>(value));
+        WayMask m = 0;
+        for (unsigned g = 0; g < lanes_; g += 16)
+            m |= WayMask{static_cast<std::uint16_t>(
+                     _mm_movemask_epi8(_mm_cmpeq_epi8(load(bytes + g), v)))}
+                 << g;
+        return m;
+    }
+
+    /**
+     * Make @p way the most recently used of @p set: every younger way
+     * ages by one and @p way, the only lane of its age, becomes 0.
+     */
     void
-    toMru(std::uint8_t *order, unsigned pos) const
+    makeMru(std::uint64_t set, unsigned way)
     {
-        const std::uint8_t way = order[pos];
-        for (; pos + 1 < ways_; ++pos)
-            order[pos] = order[pos + 1];
-        order[ways_ - 1] = way;
+        std::uint8_t *age = lane(set, Age);
+        const __m128i a = _mm_set1_epi8(static_cast<char>(age[way]));
+        for (unsigned g = 0; g < lanes_; g += 16) {
+            const __m128i v = load(age + g); // signed compares: ages < 128
+            const __m128i aged = _mm_sub_epi8(v, _mm_cmpgt_epi8(a, v));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(age + g),
+                             _mm_andnot_si128(_mm_cmpeq_epi8(a, v), aged));
+        }
     }
 
-    /** Drop @p way from its owner's mask; @return that owner or -1. */
+    /** Give @p way to @p next; @return its old owner, or -1 if empty. */
     int
-    release(std::uint64_t set, unsigned way)
+    setOwner(std::uint64_t set, unsigned way, std::uint8_t next)
     {
-        const WayMask bit = WayMask{1} << way;
-        WayMask *masks = &words_[set * stride_ + ways_];
-        for (int o = 0; o < owners_; ++o) {
-            if (masks[o] & bit) {
-                masks[o] &= ~bit;
-                --counts_[countIndex(set, o)];
-                return o;
-            }
-        }
-        return -1;
+        std::uint8_t &owner = lane(set, Owner)[way];
+        const int old = owner == emptyOwner ? -1 : owner;
+        if (old >= 0)
+            --counts_[countIndex(set, old)];
+        owner = next;
+        return old;
     }
 
     unsigned ways_;
+    unsigned lanes_; // ways_ rounded up to a multiple of 16
     int owners_;
     WayMask all_;
-    // Word offsets within a set: tags at 0, owner masks at ways_, then
-    // the dirty mask and the order bytes.
+    // Word offsets within a set: the three lanes at 0, then the dirty
+    // mask at dirtyAt_ and the tags.
     unsigned dirtyAt_;
-    unsigned orderAt_;
     unsigned stride_;
     std::vector<std::uint64_t> words_;
     std::vector<std::uint8_t> counts_; // per set, per owner

@@ -178,8 +178,9 @@ InvariantChecker::checkReservations(NodeId node, const QosFramework &fw,
                << "c/" << at.ways << "w/" << at.bandwidth
                << "bw exceeds capacity " << cap.cores << "c/"
                << cap.ways << "w/" << cap.bandwidth << "bw";
-            record("reservation-capacity", node, now,
-                   "t" + std::to_string(rs[i].start), os.str());
+            std::string subject = "t";
+            subject += std::to_string(rs[i].start);
+            record("reservation-capacity", node, now, subject, os.str());
         }
         for (std::size_t j = i + 1; j < rs.size(); ++j) {
             if (rs[i].job == rs[j].job &&
@@ -284,8 +285,9 @@ InvariantChecker::report(std::size_t max) const
         out += '\n';
     }
     if (total_ > violations_.size() || total_ > max) {
-        out += "(" + std::to_string(total_) +
-               " distinct violations in total)\n";
+        out += '(';
+        out += std::to_string(total_);
+        out += " distinct violations in total)\n";
     }
     return out;
 }

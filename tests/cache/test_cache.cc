@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
 
 namespace cmpqos
@@ -137,6 +139,28 @@ TEST(SetAssocCache, WorkingSetWithinCapacityHasNoConflictMisses)
             c.access(b * 64, false);
     // 16 cold misses only.
     EXPECT_EQ(c.misses(), 16u);
+}
+
+TEST(TagStore, DigestCollisionsResolveOnFullTag)
+{
+    // Block addresses of set 5 of a 16-set array sharing one digest.
+    const std::uint64_t sets = 16, set = 5;
+    std::vector<Addr> same{set};
+    for (Addr block = set + sets; same.size() < 3; block += sets)
+        if (TagStore::digest(block) == TagStore::digest(set))
+            same.push_back(block);
+    TagStore tags(sets, 16, 1);
+    AccessResult r;
+    tags.fill(set, tags.lruVictim(set), same[0], 0, false, r);
+    tags.fill(set, tags.lruVictim(set), same[1], 0, false, r);
+    EXPECT_EQ(tags.find(set, same[0]), 0);
+    EXPECT_EQ(tags.find(set, same[1]), 1);
+    EXPECT_EQ(tags.find(set, same[2]), -1); // never filled
+    tags.invalidate(set, 0);
+    EXPECT_EQ(tags.find(set, same[0]), -1);
+    EXPECT_EQ(tags.find(set, same[1]), 1);
+    EXPECT_EQ(tags.find(set, same[2]), -1);
+    EXPECT_EQ(tags.occupancy(set), 1u);
 }
 
 TEST(CacheConfigDeathTest, BadGeometryIsFatal)

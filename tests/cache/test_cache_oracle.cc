@@ -315,7 +315,13 @@ INSTANTIATE_TEST_SUITE_P(
         L2Param{PartitionScheme::Global, 128, 16, 4},
         L2Param{PartitionScheme::PerSet, 128, 16, 4},
         L2Param{PartitionScheme::PerSet, 16, 64, 3},
-        L2Param{PartitionScheme::Global, 16, 64, 3}),
+        L2Param{PartitionScheme::Global, 16, 64, 3},
+        L2Param{PartitionScheme::None, 32, 17, 4},
+        L2Param{PartitionScheme::Global, 32, 17, 4},
+        L2Param{PartitionScheme::PerSet, 32, 17, 4},
+        L2Param{PartitionScheme::None, 16, 48, 3},
+        L2Param{PartitionScheme::Global, 16, 48, 3},
+        L2Param{PartitionScheme::PerSet, 16, 48, 3}),
     l2ParamName);
 
 // ---------------------------------------------------------------- L1
@@ -370,7 +376,10 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, SetAssocCacheOracle,
     ::testing::Values(std::tuple<std::uint64_t, unsigned>{128, 4},
                       std::tuple<std::uint64_t, unsigned>{16, 64},
-                      std::tuple<std::uint64_t, unsigned>{256, 1}),
+                      std::tuple<std::uint64_t, unsigned>{256, 1},
+                      std::tuple<std::uint64_t, unsigned>{8, 17},
+                      std::tuple<std::uint64_t, unsigned>{8, 33},
+                      std::tuple<std::uint64_t, unsigned>{4, 63}),
     [](const auto &param_info) {
         return std::to_string(std::get<0>(param_info.param)) + "x" +
                std::to_string(std::get<1>(param_info.param));

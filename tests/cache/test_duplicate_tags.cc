@@ -125,5 +125,11 @@ TEST(DuplicateTagArray, SampledShadowTracksFullPartitionBehaviour)
     EXPECT_NEAR(dup.missIncrease(), 0.0, 0.03);
 }
 
+TEST(DuplicateTagArrayDeathTest, SamplePeriodMustBeAPowerOfTwo)
+{
+    EXPECT_DEATH(DuplicateTagArray(CacheConfig::l2Default(), 7, 3),
+                 "sample period 3 is not a power of two");
+}
+
 } // namespace
 } // namespace cmpqos

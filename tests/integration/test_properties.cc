@@ -25,6 +25,15 @@ struct SweepCase
     std::uint64_t seed;
 };
 
+/** Print the case by its fields: the default byte dump shows the
+ *  bench pointer and padding, which change from build to build and
+ *  so rename the ctest case. */
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << modeConfigName(c.config) << ' ' << c.bench << " seed " << c.seed;
+}
+
 std::string
 caseName(const ::testing::TestParamInfo<SweepCase> &info)
 {
