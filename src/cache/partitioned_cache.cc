@@ -19,6 +19,7 @@ PartitionedCache::PartitionedCache(const CacheConfig &config, int num_cores,
       setMask_(config_.numSets() - 1),
       tags_(config_.numSets(), config_.assoc, num_cores),
       gcounts_(static_cast<std::size_t>(num_cores), 0),
+      globalTargets_(static_cast<std::size_t>(num_cores), 0),
       stats_(static_cast<std::size_t>(num_cores))
 {
 }
@@ -29,6 +30,20 @@ PartitionedCache::syncCore(CoreId core)
     classes_[static_cast<std::size_t>(core)] = alloc_.coreClass(core);
     targets_[static_cast<std::size_t>(core)] = alloc_.target(core);
     poolWays_ = alloc_.poolWays();
+
+    // Global targets in blocks (ways * numSets). Opportunistic cores
+    // share the pool budget evenly, so one core's change moves every
+    // pool core's target.
+    std::uint64_t pool_cores = 0;
+    for (CoreClass cls : classes_)
+        pool_cores += cls == CoreClass::Opportunistic;
+    for (std::size_t i = 0; i < classes_.size(); ++i)
+        globalTargets_[i] =
+            classes_[i] == CoreClass::Opportunistic
+                ? static_cast<std::uint64_t>(poolWays_) *
+                      config_.numSets() / pool_cores
+                : static_cast<std::uint64_t>(targets_[i]) *
+                      config_.numSets();
 }
 
 void
@@ -130,29 +145,15 @@ PartitionedCache::selectVictimPerSet(std::uint64_t set, CoreId core) const
 unsigned
 PartitionedCache::selectVictimGlobal(std::uint64_t set, CoreId core) const
 {
-    // Global target expressed in blocks: ways * numSets. Pool cores
-    // share the pool budget evenly for the global counter comparison.
-    int pool_cores = 0;
-    for (CoreClass cls : classes_)
-        pool_cores += cls == CoreClass::Opportunistic;
-    auto global_target = [&](CoreId c) -> std::uint64_t {
-        const auto i = static_cast<std::size_t>(c);
-        if (classes_[i] == CoreClass::Opportunistic)
-            return static_cast<std::uint64_t>(poolWays_) *
-                   config_.numSets() /
-                   static_cast<std::uint64_t>(pool_cores);
-        return static_cast<std::uint64_t>(targets_[i]) * config_.numSets();
-    };
-
     WayMask held = 0, orphans = 0, over_reserved = 0, over = 0;
     for (int c = 0; c < numCores_; ++c) {
+        const auto i = static_cast<std::size_t>(c);
         const WayMask ways = tags_.owned(set, c);
         held |= ways;
-        const CoreClass cls = classes_[static_cast<std::size_t>(c)];
+        const CoreClass cls = classes_[i];
         if (cls == CoreClass::Inactive)
             orphans |= ways;
-        if (c != core &&
-            gcounts_[static_cast<std::size_t>(c)] > global_target(c)) {
+        if (c != core && gcounts_[i] > globalTargets_[i]) {
             over |= ways;
             if (cls == CoreClass::Reserved)
                 over_reserved |= ways;
@@ -160,7 +161,8 @@ PartitionedCache::selectVictimGlobal(std::uint64_t set, CoreId core) const
     }
     const WayMask empty = tags_.allWays() & ~held;
 
-    if (gcounts_[static_cast<std::size_t>(core)] < global_target(core)) {
+    const auto me = static_cast<std::size_t>(core);
+    if (gcounts_[me] < globalTargets_[me]) {
         // Under global target: free capacity and orphans first, then
         // any over-allocated core's block in this set, Reserved cores
         // first, as in the per-set scheme.

@@ -131,7 +131,8 @@ class PartitionedCache
     double perSetOccupancySpread(CoreId core) const;
 
   private:
-    /** Copy @p core's class and target, and the pool size, inline. */
+    /** Copy @p core's class and target, and the pool size, inline,
+     *  and recompute every core's global target. */
     void syncCore(CoreId core);
 
     /** Pick the victim way for a miss by @p core in @p set. */
@@ -151,6 +152,8 @@ class PartitionedCache
     std::uint64_t setMask_;
     TagStore tags_;                      // owners are cores
     std::vector<std::uint64_t> gcounts_; // global per-core
+    /** Per core, the Global scheme's target in blocks. */
+    std::vector<std::uint64_t> globalTargets_;
 
     std::vector<CoreCacheStats> stats_;
 

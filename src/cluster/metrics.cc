@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "cluster/node_worker.hh"
 #include "common/logging.hh"
 
 namespace cmpqos
@@ -14,14 +15,6 @@ namespace cmpqos
 
 namespace
 {
-
-std::size_t
-modeIndex(ExecutionMode m)
-{
-    return static_cast<std::size_t>(m);
-}
-
-const char *const modeKey[3] = {"strict", "elastic", "opportunistic"};
 
 std::string
 num(double v)
@@ -31,11 +24,57 @@ num(double v)
     return buf;
 }
 
+/** @p t's counters in table order: `1:0:2` for the fingerprint, or
+ *  with @p json `"name":1,"name":0,...` for a JSONL object. */
+template <typename T, std::size_t N>
+void
+writeTallies(std::ostream &os, const T &t,
+             const TallyField<T> (&fields)[N], bool json)
+{
+    for (const TallyField<T> &f : fields) {
+        if (&f != fields)
+            os << (json ? ',' : ':');
+        if (json)
+            os << '"' << f.name << "\":";
+        os << t.*f.member;
+    }
+}
+
 } // namespace
+
+void
+WorkTally::add(const QosFramework &fw)
+{
+    for (const auto &job : fw.jobs()) {
+        if (job->state() == JobState::Completed) {
+            ModeTally &mode =
+                byMode[static_cast<std::size_t>(job->mode().mode)];
+            ++mode.completed;
+            if (job->deadlineMet())
+                ++mode.deadlineHits;
+        }
+        stolenWays += job->stolenWays;
+    }
+    const CmpSystem &sys = fw.system();
+    for (int c = 0; c < sys.numCores(); ++c) {
+        const CoreLedger &ledger = sys.core(c).ledger();
+        instructions += ledger.instructions;
+        busyCycles += ledger.cycles;
+        dynWork += ledger.dynWork;
+    }
+}
 
 NodeMetrics
 MetricsExporter::collectNode(const NodeWorker &worker)
 {
+    // Work lost to crashes lives in the carried tally; the live
+    // framework only adds to it while the node is up (a crashed
+    // node's framework is retired — crash() already added it).
+    const NodeCarried &carried = worker.carried();
+    WorkTally work = carried.work;
+    if (worker.alive())
+        work.add(worker.framework());
+
     NodeMetrics m;
     m.node = worker.id();
     m.virtualTime = worker.virtualNow();
@@ -43,48 +82,23 @@ MetricsExporter::collectNode(const NodeWorker &worker)
     m.inFlight = worker.inFlight();
     m.alive = worker.alive();
     m.restarts = worker.restarts();
-
-    // Work lost to crashes lives in the carried tallies; the live
-    // framework is only scanned while the node is up (a crashed
-    // node's framework is retired — crash() already folded it in).
-    const NodeCarried &carried = worker.carried();
     m.failed = carried.failed;
-    m.completed = carried.completed;
-    m.instructions = carried.instructions;
-    m.stolenWays = carried.stolenWays;
-    double busy = carried.busyCycles;
-    for (std::size_t i = 0; i < m.byMode.size(); ++i) {
-        m.byMode[i].completed = carried.modeCompleted[i];
-        m.byMode[i].deadlineHits = carried.modeDeadlineHits[i];
-    }
-
-    if (worker.alive()) {
-        const QosFramework &fw = worker.framework();
-        for (const auto &job : fw.jobs()) {
-            if (job->state() == JobState::Completed) {
-                ++m.completed;
-                auto &tally = m.byMode[modeIndex(job->mode().mode)];
-                ++tally.completed;
-                if (job->deadlineMet())
-                    ++tally.deadlineHits;
-            }
-            m.stolenWays += job->stolenWays;
-        }
-        const CmpSystem &sys = fw.system();
-        for (int c = 0; c < sys.numCores(); ++c) {
-            const CoreLedger &ledger = sys.core(c).ledger();
-            m.instructions += ledger.instructions;
-            busy += ledger.cycles;
-        }
-    }
-    m.energy = worker.energy();
+    m.byMode = work.byMode;
+    for (const ModeTally &mode : work.byMode)
+        m.completed += mode.completed;
+    m.instructions = work.instructions;
+    m.stolenWays = work.stolenWays;
+    const int cores = worker.framework().system().numCores();
+    const ControllerConfig &control = worker.controllerConfig();
+    if (control.enabled)
+        m.energy = modelledEnergy(control,
+                                  static_cast<double>(m.virtualTime),
+                                  cores, work.dynWork);
     m.control = worker.controlTallies();
-    const double capacity =
-        static_cast<double>(m.virtualTime) *
-        static_cast<double>(worker.framework().system().numCores());
-    m.utilisation = capacity <= 0.0 ? 0.0 : busy / capacity;
-    if (m.utilisation > 1.0)
-        m.utilisation = 1.0;
+    const double capacity = static_cast<double>(m.virtualTime) *
+                            static_cast<double>(cores);
+    m.utilisation =
+        capacity <= 0.0 ? 0.0 : std::min(work.busyCycles / capacity, 1.0);
     return m;
 }
 
@@ -129,32 +143,24 @@ ClusterMetrics::fingerprint() const
        << " instr=" << instructions << " completed=" << completed
        << " stolen=" << stolenWays;
     for (std::size_t i = 0; i < byMode.size(); ++i)
-        os << " " << modeKey[i] << "=" << byMode[i].completed << ":"
+        os << " " << modeKeys[i] << "=" << byMode[i].completed << ":"
            << byMode[i].deadlineHits;
     // Fault fields only join the digest when something faulted: an
     // empty fault plan must fingerprint byte-identically to a build
     // without the fault layer (zero-perturbation guarantee).
     const bool faulty = faults.any() || invariantViolations != 0;
-    if (faulty)
-        os << " faults=" << faults.crashes << ":" << faults.restarts
-           << ":" << faults.failedJobs << ":" << faults.relocated
-           << ":" << faults.relocationDowngraded << ":"
-           << faults.relocationRejected << ":" << faults.probesDropped
-           << ":" << faults.probeTimeouts << ":" << faults.probeRetries
-           << ":" << faults.backoffCycles << ":"
-           << faults.duplicateReplies << ":" << faults.stalledQuanta
-           << ":" << faults.linkDrops << ":" << faults.linkDups << ":"
-           << faults.linkDelayCycles << ":" << faults.partitionedQuanta
-           << " violations=" << invariantViolations;
+    if (faulty) {
+        os << " faults=";
+        writeTallies(os, faults, faultTallyFields, false);
+        os << " violations=" << invariantViolations;
+    }
     // Controller fields join the digest only on controller-enabled
     // runs, with energy fixed to milli-units so the formatting is
     // platform-stable (same gating idea as the fault fields above).
-    if (controllerOn)
-        os << " energy=" << std::llround(energy * 1e3)
-           << " control=" << control.retunes << ":"
-           << control.freqBoosts << ":" << control.freqDrops << ":"
-           << control.wayGrants << ":" << control.wayReturns << ":"
-           << control.bwGrants << ":" << control.bwReturns;
+    if (controllerOn) {
+        os << " energy=" << std::llround(energy * 1e3) << " control=";
+        writeTallies(os, control, controlTallyFields, false);
+    }
     for (const auto &n : nodes) {
         os << " n" << n.node << "=" << n.placed << ":" << n.completed
            << ":" << n.inFlight << ":" << n.instructions << ":"
@@ -196,38 +202,20 @@ MetricsExporter::writeJsonl(const ClusterMetrics &m, std::ostream &os)
     for (std::size_t i = 0; i < m.byMode.size(); ++i) {
         if (!m.byMode[i].hasHitRate())
             continue;
-        os << (first_rate ? "" : ",") << "\"" << modeKey[i]
+        os << (first_rate ? "" : ",") << "\"" << modeKeys[i]
            << "\":" << num(m.byMode[i].hitRate());
         first_rate = false;
     }
-    os << "},\"faults\":{\"crashes\":" << m.faults.crashes
-       << ",\"restarts\":" << m.faults.restarts
-       << ",\"failed_jobs\":" << m.faults.failedJobs
-       << ",\"relocated\":" << m.faults.relocated
-       << ",\"relocation_downgraded\":" << m.faults.relocationDowngraded
-       << ",\"relocation_rejected\":" << m.faults.relocationRejected
-       << ",\"probes_dropped\":" << m.faults.probesDropped
-       << ",\"probe_timeouts\":" << m.faults.probeTimeouts
-       << ",\"probe_retries\":" << m.faults.probeRetries
-       << ",\"backoff_cycles\":" << m.faults.backoffCycles
-       << ",\"duplicate_replies\":" << m.faults.duplicateReplies
-       << ",\"stalled_quanta\":" << m.faults.stalledQuanta
-       << ",\"link_drops\":" << m.faults.linkDrops
-       << ",\"link_dups\":" << m.faults.linkDups
-       << ",\"link_delay_cycles\":" << m.faults.linkDelayCycles
-       << ",\"partitioned_quanta\":" << m.faults.partitionedQuanta
-       << "},\"invariant_violations\":" << m.invariantViolations;
+    os << "},\"faults\":{";
+    writeTallies(os, m.faults, faultTallyFields, true);
+    os << "},\"invariant_violations\":" << m.invariantViolations;
     // Controller keys appear only on controller-enabled runs so
     // controller-off JSONL stays byte-identical to older captures.
-    if (m.controllerOn)
-        os << ",\"controller\":{\"energy\":" << num(m.energy)
-           << ",\"retunes\":" << m.control.retunes
-           << ",\"freq_boosts\":" << m.control.freqBoosts
-           << ",\"freq_drops\":" << m.control.freqDrops
-           << ",\"way_grants\":" << m.control.wayGrants
-           << ",\"way_returns\":" << m.control.wayReturns
-           << ",\"bw_grants\":" << m.control.bwGrants
-           << ",\"bw_returns\":" << m.control.bwReturns << "}";
+    if (m.controllerOn) {
+        os << ",\"controller\":{\"energy\":" << num(m.energy) << ",";
+        writeTallies(os, m.control, controlTallyFields, true);
+        os << "}";
+    }
     os << ",\"wall_seconds\":" << num(m.wallSeconds)
        << ",\"jobs_per_second\":" << num(m.jobsPerWallSecond()) << "}\n";
 
@@ -244,9 +232,9 @@ MetricsExporter::writeJsonl(const ClusterMetrics &m, std::ostream &os)
            << ",\"restarts\":" << n.restarts
            << ",\"alive\":" << (n.alive ? "true" : "false");
         for (std::size_t i = 0; i < n.byMode.size(); ++i)
-            os << ",\"" << modeKey[i]
+            os << ",\"" << modeKeys[i]
                << "_completed\":" << n.byMode[i].completed << ",\""
-               << modeKey[i]
+               << modeKeys[i]
                << "_deadline_hits\":" << n.byMode[i].deadlineHits;
         if (m.controllerOn)
             os << ",\"energy\":" << num(n.energy)
@@ -260,7 +248,7 @@ MetricsExporter::writeCsv(const ClusterMetrics &m, std::ostream &os)
 {
     os << "node,virtual_cycles,placed,completed,in_flight,"
           "instructions,utilisation,stolen_ways,failed,restarts,alive";
-    for (const char *key : modeKey)
+    for (const char *key : modeKeys)
         os << "," << key << "_completed," << key << "_deadline_hits,"
            << key << "_hit_rate";
     // Controller columns only exist on controller-enabled runs (the

@@ -23,11 +23,14 @@
 #include <vector>
 
 #include "cluster/arrival.hh"
-#include "cluster/node_worker.hh"
+#include "common/types.hh"
+#include "control/controller.hh"
 #include "qos/mode.hh"
 
 namespace cmpqos
 {
+
+class NodeWorker;
 
 /** Completion counters for one execution mode. */
 struct ModeTally
@@ -53,7 +56,33 @@ struct ModeTally
     bool hasHitRate() const { return completed != 0; }
 };
 
-/** Snapshot of one node's counters. */
+/** Export and wire names of the modes, indexed by ExecutionMode. */
+inline constexpr const char *modeKeys[3] = {"strict", "elastic",
+                                            "opportunistic"};
+
+/**
+ * What a node's frameworks have done: completions and deadline hits
+ * per mode, ways stolen, instructions retired, busy core cycles and
+ * the dynamic-energy work term. A crash adds the dying framework into
+ * the node's carried tally; a snapshot adds the live one into a copy
+ * of it.
+ */
+struct WorkTally
+{
+    std::array<ModeTally, 3> byMode; // indexed by ExecutionMode
+    std::uint64_t stolenWays = 0;
+    InstCount instructions = 0;
+    double busyCycles = 0.0;
+    double dynWork = 0.0;
+
+    /** Add @p fw's completed jobs, every job's stolen ways and its
+     *  cores' ledgers, cores in index order. */
+    void add(const QosFramework &fw);
+};
+
+/** Snapshot of one node's counters: what a node reports, in process
+ *  and over the shard link alike (visitFields below is its wire
+ *  field list). */
 struct NodeMetrics
 {
     NodeId node = -1;
@@ -80,6 +109,35 @@ struct NodeMetrics
     /** Feedback-controller activity (src/control). */
     ControlTallies control;
 };
+
+template <typename V>
+void
+visitFields(ModeTally &t, V &v)
+{
+    v.u64("completed", t.completed);
+    v.u64("deadline_hits", t.deadlineHits);
+}
+
+template <typename V>
+void
+visitFields(NodeMetrics &m, V &v)
+{
+    v.i32("node", m.node);
+    v.u64("virtual_time", m.virtualTime);
+    v.u64("placed", m.placed);
+    v.u64("completed", m.completed);
+    v.u64("in_flight", m.inFlight);
+    v.u64("instructions", m.instructions);
+    v.f64("utilisation", m.utilisation);
+    v.u64("stolen_ways", m.stolenWays);
+    v.u64("failed", m.failed);
+    v.u64("restarts", m.restarts);
+    v.boolean("alive", m.alive);
+    for (std::size_t i = 0; i < m.byMode.size(); ++i)
+        v.embed(modeKeys[i], m.byMode[i]);
+    v.f64("energy", m.energy);
+    v.embed("control", m.control);
+}
 
 /**
  * Driver-side fault and recovery counters (all zero on fault-free
@@ -124,17 +182,46 @@ struct FaultTallies
     /** (shard, quantum) advances deferred by a partition window. */
     std::uint64_t partitionedQuanta = 0;
 
-    bool
-    any() const
-    {
-        return crashes || restarts || failedJobs || relocated ||
-               relocationDowngraded || relocationRejected ||
-               probesDropped || probeTimeouts || probeRetries ||
-               backoffCycles || duplicateReplies || stalledQuanta ||
-               linkDrops || linkDups || linkDelayCycles ||
-               partitionedQuanta;
-    }
+    bool any() const;
+    void accumulate(const FaultTallies &o);
 };
+
+/** Every fault tally, in the order the fingerprint's faults= segment
+ *  and the JSONL faults object list them. */
+inline constexpr TallyField<FaultTallies> faultTallyFields[] = {
+    {"crashes", &FaultTallies::crashes},
+    {"restarts", &FaultTallies::restarts},
+    {"failed_jobs", &FaultTallies::failedJobs},
+    {"relocated", &FaultTallies::relocated},
+    {"relocation_downgraded", &FaultTallies::relocationDowngraded},
+    {"relocation_rejected", &FaultTallies::relocationRejected},
+    {"probes_dropped", &FaultTallies::probesDropped},
+    {"probe_timeouts", &FaultTallies::probeTimeouts},
+    {"probe_retries", &FaultTallies::probeRetries},
+    {"backoff_cycles", &FaultTallies::backoffCycles},
+    {"duplicate_replies", &FaultTallies::duplicateReplies},
+    {"stalled_quanta", &FaultTallies::stalledQuanta},
+    {"link_drops", &FaultTallies::linkDrops},
+    {"link_dups", &FaultTallies::linkDups},
+    {"link_delay_cycles", &FaultTallies::linkDelayCycles},
+    {"partitioned_quanta", &FaultTallies::partitionedQuanta},
+};
+
+inline bool
+FaultTallies::any() const
+{
+    for (const auto &f : faultTallyFields)
+        if (this->*f.member != 0)
+            return true;
+    return false;
+}
+
+inline void
+FaultTallies::accumulate(const FaultTallies &o)
+{
+    for (const auto &f : faultTallyFields)
+        this->*f.member += o.*f.member;
+}
 
 /** Snapshot of the whole cluster. */
 struct ClusterMetrics

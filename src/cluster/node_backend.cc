@@ -48,11 +48,8 @@ LocalBackend::LocalBackend(NodeId first,
 NodeWorker &
 LocalBackend::node(NodeId id)
 {
-    const NodeId index = id - first_;
-    cmpqos_assert(index >= 0 &&
-                      index < static_cast<NodeId>(nodes_.size()),
-                  "node %d is not in this slice", id);
-    return *nodes_[static_cast<std::size_t>(index)];
+    cmpqos_assert(contains(id), "node %d is not in this slice", id);
+    return *nodes_[static_cast<std::size_t>(id - first_)];
 }
 
 std::vector<NodeProbe>

@@ -158,6 +158,13 @@ class LocalBackend : public NodeBackend
         return checker_ != nullptr ? checker_->report() : std::string();
     }
 
+    /** Whether global node @p id is inside this slice. */
+    bool
+    contains(NodeId id) const
+    {
+        return id >= first_ &&
+               id - first_ < static_cast<NodeId>(nodes_.size());
+    }
     /** Node @p id (a global id inside this slice). */
     NodeWorker &node(NodeId id);
     /** The oracle, when checkInvariants was set (else nullptr). */

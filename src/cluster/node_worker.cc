@@ -53,23 +53,6 @@ NodeWorker::controlTallies() const
     return t;
 }
 
-double
-NodeWorker::energy() const
-{
-    owner_.grant();
-    if (!controllerConfig_.enabled)
-        return 0.0;
-    double dyn_work = carried_.dynWork;
-    if (alive_) {
-        const CmpSystem &sys = framework_->system();
-        for (int c = 0; c < sys.numCores(); ++c)
-            dyn_work += sys.core(c).ledger().dynWork;
-    }
-    return modelledEnergy(controllerConfig_,
-                          static_cast<double>(virtualNow()),
-                          config_.cmp.numCores, dyn_work);
-}
-
 void
 NodeWorker::advanceTo(Cycle t, Cycle stall)
 {
@@ -149,16 +132,15 @@ NodeWorker::crash()
     CrashReport report;
     const QosFramework &fw = *framework_;
 
-    // Fold the dying incarnation's completed work into the carried
-    // tallies (the framework is retired, never scanned again), and
-    // sort the in-flight jobs into failed (running) vs relocatable
-    // (still waiting for their slot).
+    // The dying incarnation's work joins the carried tally (the
+    // framework is retired, never read again); its in-flight jobs
+    // sort into failed (running) and relocatable (still waiting for
+    // their slot).
+    carried_.work.add(fw);
     for (const auto &job : fw.jobs()) {
-        switch (job->state()) {
-          case JobState::Running:
+        if (job->state() == JobState::Running) {
             report.failedRunning.push_back(job->id());
-            break;
-          case JobState::Waiting: {
+        } else if (job->state() == JobState::Waiting) {
             auto it = pendingRequests_.find(job->id());
             cmpqos_assert(it != pendingRequests_.end(),
                           "waiting job %d has no recorded request",
@@ -166,28 +148,7 @@ NodeWorker::crash()
             report.waiting.push_back({job->id(), it->second.request,
                                       it->second.instructions,
                                       job->mode().mode});
-            break;
-          }
-          case JobState::Completed: {
-            ++carried_.completed;
-            const auto m =
-                static_cast<std::size_t>(job->mode().mode);
-            ++carried_.modeCompleted[m];
-            if (job->deadlineMet())
-                ++carried_.modeDeadlineHits[m];
-            break;
-          }
-          default:
-            break;
         }
-        carried_.stolenWays += job->stolenWays;
-    }
-    const CmpSystem &sys = fw.system();
-    for (int c = 0; c < sys.numCores(); ++c) {
-        const CoreLedger &ledger = sys.core(c).ledger();
-        carried_.instructions += ledger.instructions;
-        carried_.busyCycles += ledger.cycles;
-        carried_.dynWork += ledger.dynWork;
     }
     carried_.virtualTime = fw.simulation().now();
     carried_.failed += report.failedRunning.size();

@@ -9,8 +9,8 @@
  * (advanceTo / drain). The engine's barrier-step loop enforces that
  * ownership handoff, so the worker itself needs no locks.
  *
- * Crash/restart: crash() retires the current framework — completed
- * work is folded into carried tallies so metrics survive the loss,
+ * Crash/restart: crash() retires the current framework — its work is
+ * added to the carried tally so metrics survive the loss,
  * running jobs are counted failed, and waiting jobs are handed back
  * for relocation. restart() brings the node back with a fresh
  * framework whose seed is derived deterministically from the node
@@ -21,11 +21,11 @@
 #ifndef CMPQOS_CLUSTER_NODE_WORKER_HH
 #define CMPQOS_CLUSTER_NODE_WORKER_HH
 
-#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/metrics.hh"
 #include "common/annotations.hh"
 #include "control/controller.hh"
 #include "qos/framework.hh"
@@ -34,22 +34,16 @@ namespace cmpqos
 {
 
 /**
- * Tallies accumulated over retired framework incarnations (crashes),
- * folded into the node's metrics alongside the live framework.
+ * What a node carries over its retired framework incarnations
+ * (crashes), added into its metrics alongside the live framework.
  */
 struct NodeCarried
 {
-    std::uint64_t completed = 0;
+    /** Finished work of the retired incarnations. */
+    WorkTally work;
     std::uint64_t failed = 0;
-    std::array<std::uint64_t, 3> modeCompleted{}; // by ExecutionMode
-    std::array<std::uint64_t, 3> modeDeadlineHits{};
-    InstCount instructions = 0;
-    double busyCycles = 0.0;
-    std::uint64_t stolenWays = 0;
     /** Node clock at the (last) crash — frozen while dead. */
     Cycle virtualTime = 0;
-    /** Dynamic-energy work term folded in from retired cores. */
-    double dynWork = 0.0;
     /** Controller tallies of retired incarnations. */
     ControlTallies control;
 };
@@ -164,9 +158,9 @@ class NodeWorker
     };
 
     /**
-     * Kill the node at a quantum barrier: fold the framework's
-     * completed work into the carried tallies, count running jobs as
-     * failed, and report waiting jobs for relocation. The node stops
+     * Kill the node at a quantum barrier: add the framework's work to
+     * the carried tally, count running jobs as failed, and report
+     * waiting jobs for relocation. The node stops
      * probing, accepting and advancing until restart().
      */
     CrashReport crash();
@@ -209,12 +203,12 @@ class NodeWorker
      */
     void enableController(const ControllerConfig &config);
 
-    /** Whether the feedback controller is armed. */
-    bool
-    controllerOn() const
+    /** The feedback controller's configuration (disabled unless armed). */
+    const ControllerConfig &
+    controllerConfig() const
     {
         owner_.grant();
-        return controllerConfig_.enabled;
+        return controllerConfig_;
     }
 
     /**
@@ -225,13 +219,6 @@ class NodeWorker
 
     /** Controller tallies across all incarnations. */
     ControlTallies controlTallies() const;
-
-    /**
-     * Modelled energy consumed by this node so far (static + dynamic
-     * across incarnations). 0 when the controller is off — energy
-     * only joins metrics/fingerprints on controller-enabled runs.
-     */
-    double energy() const;
 
   private:
     struct PendingRequest

@@ -61,6 +61,16 @@ secondsToCycles(double s)
     return static_cast<Cycle>(s * static_cast<double>(coreClockHz));
 }
 
+/** One counter of a tally struct: its name (export key and wire
+ *  field) and its member. A tally lists its counters once, in a
+ *  table of these, and every reader and writer walks that table. */
+template <typename T>
+struct TallyField
+{
+    const char *name;
+    std::uint64_t T::*member;
+};
+
 } // namespace cmpqos
 
 #endif // CMPQOS_COMMON_TYPES_HH

@@ -71,6 +71,8 @@ struct BinWriter
     {
         out.push_back(static_cast<char>(v));
     }
+    /** A bool travels as one byte, 0 or 1. */
+    void boolean(const char *name, bool v) { u8(name, v ? 1 : 0); }
     void u32(const char *, std::uint32_t v) { push32(v); }
     void u64(const char *, std::uint64_t v) { push64(v); }
     void i32(const char *, std::int32_t v)
@@ -158,6 +160,16 @@ struct BinReader
     {
         if (need(1, name))
             v = static_cast<std::uint8_t>(take(1));
+    }
+    void boolean(const char *name, bool &v)
+    {
+        std::uint8_t b = v; // a failed read leaves v as it was
+        u8(name, b);
+        if (b > 1) {
+            ok = false;
+            err = std::string("bool field '") + name + "' is not 0 or 1";
+        }
+        v = b == 1;
     }
     void u32(const char *name, std::uint32_t &v)
     {
@@ -331,7 +343,8 @@ wireTypeName()
 }
 
 /** Field-visitor that records (primitive, name) per call, in wire
- *  order; nested structs are recorded once into `nested`. */
+ *  order; nested structs are recorded once into `nested`. A bool is
+ *  recorded as the u8 it travels as. */
 struct SchemaWriter
 {
     /** Every primitive above, in the lock's `codec` line order. */
@@ -347,6 +360,7 @@ struct SchemaWriter
         fields.push_back({kind, name, std::move(type)});
     }
     void u8(const char *name, std::uint8_t) { add("u8", name); }
+    void boolean(const char *name, bool) { add("u8", name); }
     void u32(const char *name, std::uint32_t) { add("u32", name); }
     void u64(const char *name, std::uint64_t) { add("u64", name); }
     void i32(const char *name, std::int32_t) { add("i32", name); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "cache/partitioned_cache.hh"
 #include "common/logging.hh"
@@ -10,30 +11,6 @@
 
 namespace cmpqos
 {
-
-std::vector<std::uint64_t>
-flattenTallies(const ControlTallies &t)
-{
-    return {t.retunes,    t.freqBoosts, t.freqDrops, t.wayGrants,
-            t.wayReturns, t.bwGrants,   t.bwReturns};
-}
-
-ControlTallies
-unflattenTallies(const std::vector<std::uint64_t> &v)
-{
-    ControlTallies t;
-    auto at = [&](std::size_t i) {
-        return i < v.size() ? v[i] : std::uint64_t{0};
-    };
-    t.retunes = at(0);
-    t.freqBoosts = at(1);
-    t.freqDrops = at(2);
-    t.wayGrants = at(3);
-    t.wayReturns = at(4);
-    t.bwGrants = at(5);
-    t.bwReturns = at(6);
-    return t;
-}
 
 double
 modelledEnergy(const ControllerConfig &config, double virtualCycles,

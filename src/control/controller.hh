@@ -42,8 +42,8 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
+#include "common/types.hh"
 #include "control/config.hh"
 #include "qos/framework.hh"
 #include "telemetry/recorder.hh"
@@ -63,27 +63,36 @@ struct ControlTallies
     std::uint64_t bwGrants = 0;
     std::uint64_t bwReturns = 0;
 
-    /** Flattened wire width (see flatten/unflatten). */
-    static constexpr std::size_t numFields = 7;
-
-    void
-    accumulate(const ControlTallies &o)
-    {
-        retunes += o.retunes;
-        freqBoosts += o.freqBoosts;
-        freqDrops += o.freqDrops;
-        wayGrants += o.wayGrants;
-        wayReturns += o.wayReturns;
-        bwGrants += o.bwGrants;
-        bwReturns += o.bwReturns;
-    }
+    void accumulate(const ControlTallies &o);
 };
 
-/** Flatten tallies for the federation wire (fixed field order). */
-std::vector<std::uint64_t> flattenTallies(const ControlTallies &t);
+/** Every controller tally, in the order the fingerprint's control=
+ *  segment, the JSONL controller object and the shard link list
+ *  them. */
+inline constexpr TallyField<ControlTallies> controlTallyFields[] = {
+    {"retunes", &ControlTallies::retunes},
+    {"freq_boosts", &ControlTallies::freqBoosts},
+    {"freq_drops", &ControlTallies::freqDrops},
+    {"way_grants", &ControlTallies::wayGrants},
+    {"way_returns", &ControlTallies::wayReturns},
+    {"bw_grants", &ControlTallies::bwGrants},
+    {"bw_returns", &ControlTallies::bwReturns},
+};
 
-/** Inverse of flattenTallies; zero-fills a short/empty vector. */
-ControlTallies unflattenTallies(const std::vector<std::uint64_t> &v);
+inline void
+ControlTallies::accumulate(const ControlTallies &o)
+{
+    for (const auto &f : controlTallyFields)
+        this->*f.member += o.*f.member;
+}
+
+template <typename V>
+void
+visitFields(ControlTallies &t, V &v)
+{
+    for (const auto &f : controlTallyFields)
+        v.u64(f.name, t.*f.member);
+}
 
 /**
  * Modelled energy after @p virtualCycles with @p dynWork accumulated

@@ -509,10 +509,7 @@ std::vector<NodeMetrics>
 ShardBackend::collect(FaultTallies &faults)
 {
     flushDeferred(true);
-    faults.linkDrops += linkFaults_.linkDrops;
-    faults.linkDups += linkFaults_.linkDups;
-    faults.linkDelayCycles += linkFaults_.linkDelayCycles;
-    faults.partitionedQuanta += linkFaults_.partitionedQuanta;
+    faults.accumulate(linkFaults_);
 
     std::vector<NodeMetrics> per_node;
     for (auto &shard : shards_) {
@@ -523,8 +520,8 @@ ShardBackend::collect(FaultTallies &faults)
                       "shard %d snapshot covers %zu of %d nodes",
                       shard->index, reply.nodes.size(),
                       shard->nodeCount);
-        for (const WireNodeMetrics &w : reply.nodes)
-            per_node.push_back(fromWireMetrics(w));
+        per_node.insert(per_node.end(), reply.nodes.begin(),
+                        reply.nodes.end());
     }
     return per_node;
 }

@@ -10,7 +10,8 @@ namespace cmpqos
 
 // Field lists, one per message, in frozen wire order. Nested structs
 // go through the same visitor (v.embed in place, v.list as elements),
-// so WireJobRequest etc. have one field list each.
+// so WireJobRequest etc. have one field list each; NodeMetrics keeps
+// its list beside its definition (cluster/metrics.hh).
 
 template <typename V>
 void
@@ -45,26 +46,6 @@ visitFields(WireLostJob &m, V &v)
     v.i32("local_job", m.localJob);
     v.u8("mode", m.mode);
     v.embed("request", m.request);
-}
-
-template <typename V>
-void
-visitFields(WireNodeMetrics &m, V &v)
-{
-    v.i32("node", m.node);
-    v.u64("virtual_time", m.virtualTime);
-    v.u64("placed", m.placed);
-    v.u64("completed", m.completed);
-    v.u64("in_flight", m.inFlight);
-    v.u64("instructions", m.instructions);
-    v.f64("utilisation", m.utilisation);
-    v.u64("stolen_ways", m.stolenWays);
-    v.u64("failed", m.failed);
-    v.u64("restarts", m.restarts);
-    v.u8("alive", m.alive);
-    v.u64vec("mode_tallies", m.modeTallies);
-    v.f64("energy", m.energy);
-    v.u64vec("control_tallies", m.controlTallies);
 }
 
 template <typename V>

@@ -32,6 +32,8 @@
 #include <variant>
 #include <vector>
 
+#include "cluster/metrics.hh"
+
 namespace cmpqos
 {
 
@@ -46,7 +48,7 @@ struct WireSchema;
  * procedure). FedInit carries it so a version-skewed shard is
  * rejected at handshake instead of desyncing mid-epoch.
  */
-constexpr std::uint32_t fedProtocolVersion = 2;
+constexpr std::uint32_t fedProtocolVersion = 3;
 
 /** Wire form of a JobRequest plus the job length. */
 struct WireJobRequest
@@ -81,28 +83,6 @@ struct WireLostJob
     std::int32_t localJob = -1;
     std::uint8_t mode = 0; // ExecutionMode of the lost job
     WireJobRequest request;
-};
-
-/** Serialized NodeMetrics (see cluster/metrics.hh). */
-struct WireNodeMetrics
-{
-    std::int32_t node = -1;
-    std::uint64_t virtualTime = 0;
-    std::uint64_t placed = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t inFlight = 0;
-    std::uint64_t instructions = 0;
-    double utilisation = 0.0;
-    std::uint64_t stolenWays = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t restarts = 0;
-    std::uint8_t alive = 1;
-    /** completed/deadlineHits per ExecutionMode, flattened. */
-    std::vector<std::uint64_t> modeTallies;
-    /** Modelled energy (0 unless the feedback controller is on). */
-    double energy = 0.0;
-    /** ControlTallies flattened via flattenTallies (control layer). */
-    std::vector<std::uint64_t> controlTallies;
 };
 
 // --- coordinator -> shard ------------------------------------------
@@ -255,9 +235,10 @@ struct FedDrainDone
     std::uint64_t drops = 0;
 };
 
+/** Every local node's snapshot, in id order. */
 struct FedSnapshotReply
 {
-    std::vector<WireNodeMetrics> nodes;
+    std::vector<NodeMetrics> nodes;
 };
 
 struct FedInvariantReport

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "control/config.hh"
-#include "control/controller.hh"
 
 namespace cmpqos
 {
@@ -90,63 +89,6 @@ fromWireCrash(const FedCrashReport &w)
     return report;
 }
 
-WireNodeMetrics
-toWireMetrics(const NodeMetrics &nm)
-{
-    WireNodeMetrics w;
-    w.node = nm.node;
-    w.virtualTime = nm.virtualTime;
-    w.placed = nm.placed;
-    w.completed = nm.completed;
-    w.inFlight = nm.inFlight;
-    w.instructions = nm.instructions;
-    w.utilisation = nm.utilisation;
-    w.stolenWays = nm.stolenWays;
-    w.failed = nm.failed;
-    w.restarts = nm.restarts;
-    w.alive = nm.alive ? 1 : 0;
-    w.modeTallies.reserve(nm.byMode.size() * 2);
-    for (const ModeTally &tally : nm.byMode) {
-        w.modeTallies.push_back(tally.completed);
-        w.modeTallies.push_back(tally.deadlineHits);
-    }
-    w.energy = nm.energy;
-    w.controlTallies = flattenTallies(nm.control);
-    return w;
-}
-
-NodeMetrics
-fromWireMetrics(const WireNodeMetrics &w)
-{
-    NodeMetrics nm;
-    nm.node = w.node;
-    nm.virtualTime = w.virtualTime;
-    nm.placed = w.placed;
-    nm.completed = w.completed;
-    nm.inFlight = w.inFlight;
-    nm.instructions = w.instructions;
-    nm.utilisation = w.utilisation;
-    nm.stolenWays = w.stolenWays;
-    nm.failed = w.failed;
-    nm.restarts = w.restarts;
-    nm.alive = w.alive != 0;
-    cmpqos_assert(w.modeTallies.size() == nm.byMode.size() * 2,
-                  "node %d shipped %zu mode tallies", w.node,
-                  w.modeTallies.size());
-    for (std::size_t i = 0; i < nm.byMode.size(); ++i) {
-        nm.byMode[i].completed = w.modeTallies[2 * i];
-        nm.byMode[i].deadlineHits = w.modeTallies[2 * i + 1];
-    }
-    nm.energy = w.energy;
-    cmpqos_assert(w.controlTallies.empty() ||
-                      w.controlTallies.size() == ControlTallies::numFields,
-                  "node %d shipped %zu control tallies", w.node,
-                  w.controlTallies.size());
-    if (!w.controlTallies.empty())
-        nm.control = unflattenTallies(w.controlTallies);
-    return nm;
-}
-
 bool
 ShardController::serve(Link &link, std::string &error)
 {
@@ -206,6 +148,8 @@ ShardController::handle(const FedMessage &msg)
         return reply;
     }
     if (const auto *m = std::get_if<FedSubmit>(&msg)) {
+        if (auto refused = refusal(msg, m->node, true))
+            return *refused;
         InstCount instructions = 0;
         const JobRequest request =
             fromWireRequest(m->request, instructions);
@@ -214,15 +158,22 @@ ShardController::handle(const FedMessage &msg)
         return FedSubmitAck{
             .node = m->node, .jobId = job, .ok = job != invalidJob};
     }
-    if (const auto *m = std::get_if<FedCrash>(&msg))
+    if (const auto *m = std::get_if<FedCrash>(&msg)) {
+        if (auto refused = refusal(msg, m->node, true))
+            return *refused;
         return toWireCrash(m->node, nodes_->crash(m->node, 0));
+    }
     if (const auto *m = std::get_if<FedRestart>(&msg)) {
+        if (auto refused = refusal(msg, m->node, false))
+            return *refused;
         nodes_->restart(m->node, m->now);
         return FedRestartAck{m->node};
     }
     if (const auto *m = std::get_if<FedAdvance>(&msg))
         return onAdvance(*m);
     if (const auto *m = std::get_if<FedRelocFail>(&msg)) {
+        if (auto refused = refusal(msg, m->node, std::nullopt))
+            return *refused;
         nodes_->recordRelocationFailure(m->node, 0);
         return FedRelocFailAck{m->node};
     }
@@ -232,10 +183,7 @@ ShardController::handle(const FedMessage &msg)
     }
     if (std::holds_alternative<FedSnapshotReq>(msg)) {
         FaultTallies unused;
-        FedSnapshotReply reply;
-        for (const NodeMetrics &nm : nodes_->collect(unused))
-            reply.nodes.push_back(toWireMetrics(nm));
-        return reply;
+        return FedSnapshotReply{nodes_->collect(unused)};
     }
     if (std::holds_alternative<FedInvariantReq>(msg)) {
         FedInvariantReport report;
@@ -246,6 +194,19 @@ ShardController::handle(const FedMessage &msg)
     }
     return FedError{std::string("unexpected message: ") +
                     fedMessageName(msg)};
+}
+
+std::optional<FedError>
+ShardController::refusal(const FedMessage &msg, NodeId node,
+                         std::optional<bool> alive)
+{
+    const std::string what =
+        std::string(fedMessageName(msg)) + ": node " + std::to_string(node);
+    if (!nodes_->contains(node))
+        return FedError{what + " is not in this shard's slice"};
+    if (alive && nodes_->node(node).alive() != *alive)
+        return FedError{what + (*alive ? " is dead" : " is alive")};
+    return std::nullopt;
 }
 
 FedMessage

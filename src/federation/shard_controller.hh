@@ -25,6 +25,7 @@
 #define CMPQOS_FEDERATION_SHARD_CONTROLLER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "cluster/node_backend.hh"
@@ -69,7 +70,10 @@ class ShardBufferSink : public TraceSink
  * FedInit message, so the same class backs the in-process serve
  * threads and the `federation_shard` worker processes. Every node
  * command executes on a LocalBackend over the shard's slice — the
- * single-process engine's node code, behind a codec.
+ * single-process engine's node code, behind a codec. A node command
+ * the slice cannot run (a node outside it, a submit to or crash of a
+ * dead node, a restart of a live one) is answered with a FedError
+ * naming the node, never an abort of the shard.
  */
 class ShardController
 {
@@ -89,6 +93,12 @@ class ShardController
   private:
     FedMessage handle(const FedMessage &msg) CMPQOS_REQUIRES(owner_);
 
+    /** The FedError answering node command @p msg when @p node is
+     *  outside the slice or its liveness is not @p alive (nullopt:
+     *  either will do); nullopt when the command can run. */
+    std::optional<FedError> refusal(const FedMessage &msg, NodeId node,
+                                    std::optional<bool> alive)
+        CMPQOS_REQUIRES(owner_);
     FedMessage onInit(const FedInit &m) CMPQOS_REQUIRES(owner_);
     FedMessage onAdvance(const FedAdvance &m) CMPQOS_REQUIRES(owner_);
     /** A barrier reply (FedQuantumDone / FedDrainDone): cumulative
@@ -126,9 +136,6 @@ JobRequest fromWireRequest(const WireJobRequest &w,
 FedCrashReport toWireCrash(NodeId node,
                            const NodeWorker::CrashReport &report);
 NodeWorker::CrashReport fromWireCrash(const FedCrashReport &w);
-
-WireNodeMetrics toWireMetrics(const NodeMetrics &m);
-NodeMetrics fromWireMetrics(const WireNodeMetrics &w);
 
 } // namespace cmpqos
 

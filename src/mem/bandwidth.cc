@@ -10,8 +10,6 @@ namespace cmpqos
 BandwidthRegulator::BandwidthRegulator(const MemoryConfig &config,
                                        int num_cores)
     : config_(config), numCores_(num_cores),
-      peakBytesPerCycle_(config.peakBandwidthBytesPerSec /
-                         static_cast<double>(coreClockHz)),
       shares_(static_cast<std::size_t>(num_cores), 0),
       demand_(static_cast<std::size_t>(num_cores), 0.0)
 {
@@ -64,9 +62,8 @@ BandwidthRegulator::noteWindow(CoreId core, std::uint64_t bytes,
         return;
     const double rate =
         static_cast<double>(bytes) / static_cast<double>(cycles);
-    const double alpha = config_.ewmaAlpha;
     auto &d = demand_[static_cast<std::size_t>(core)];
-    d = alpha * rate + (1.0 - alpha) * d;
+    d = memEwmaAlpha * rate + (1.0 - memEwmaAlpha) * d;
 }
 
 double
@@ -88,7 +85,7 @@ BandwidthRegulator::entitledBytesPerCycle(CoreId core) const
     const unsigned effective = s > 0 ? s : poolPercent();
     // A zero-entitlement core (pool exhausted by reservations) still
     // trickles: floor at 1%.
-    return peakBytesPerCycle_ *
+    return memPeakBytesPerCycle *
            static_cast<double>(std::max(effective, 1u)) / 100.0;
 }
 
@@ -105,18 +102,13 @@ BandwidthRegulator::utilization(CoreId core) const
 double
 BandwidthRegulator::missPenalty(CoreId core, bool priority) const
 {
-    const double base = static_cast<double>(config_.accessLatency);
-    if (priority)
-        return base;
-    const double rho = std::min(utilization(core), 0.95);
-    const double wait = base * rho / (2.0 * (1.0 - rho));
-    return base + std::min(wait, base * config_.maxQueueingFactor);
+    return queueingMissPenalty(config_, utilization(core), priority);
 }
 
 bool
 BandwidthRegulator::saturated(CoreId core) const
 {
-    return utilization(core) >= config_.saturationThreshold;
+    return utilization(core) >= memSaturationThreshold;
 }
 
 void

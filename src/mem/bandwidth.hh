@@ -78,7 +78,6 @@ class BandwidthRegulator
 
     MemoryConfig config_;
     int numCores_;
-    double peakBytesPerCycle_;
     std::vector<unsigned> shares_;
     /** EWMA bytes-per-cycle demand per core. */
     std::vector<double> demand_;

@@ -2,18 +2,22 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace cmpqos
 {
 
-MainMemory::MainMemory(const MemoryConfig &config) : config_(config)
+double
+queueingMissPenalty(const MemoryConfig &config, double rho, bool priority)
 {
-    cmpqos_assert(config_.peakBandwidthBytesPerSec > 0.0,
-                  "peak bandwidth must be positive");
-    bytesPerCycle_ = config_.peakBandwidthBytesPerSec /
-                     static_cast<double>(coreClockHz);
+    const double base = static_cast<double>(config.accessLatency);
+    if (priority)
+        return base;
+    // M/D/1 mean wait, clamped away from the rho -> 1 pole.
+    rho = std::min(rho, 0.95);
+    const double wait = base * rho / (2.0 * (1.0 - rho));
+    return base + std::min(wait, base * config.maxQueueingFactor);
 }
+
+MainMemory::MainMemory(const MemoryConfig &config) : config_(config) {}
 
 void
 MainMemory::noteWindow(std::uint64_t bytes, Cycle cycles)
@@ -23,27 +27,21 @@ MainMemory::noteWindow(std::uint64_t bytes, Cycle cycles)
         return;
     const double inst = std::min(
         1.0, static_cast<double>(bytes) /
-                 (static_cast<double>(cycles) * bytesPerCycle_));
-    utilization_ = config_.ewmaAlpha * inst +
-                   (1.0 - config_.ewmaAlpha) * utilization_;
+                 (static_cast<double>(cycles) * memPeakBytesPerCycle));
+    utilization_ =
+        memEwmaAlpha * inst + (1.0 - memEwmaAlpha) * utilization_;
 }
 
 bool
 MainMemory::saturated() const
 {
-    return utilization_ >= config_.saturationThreshold;
+    return utilization_ >= memSaturationThreshold;
 }
 
 double
 MainMemory::missPenalty(bool priority) const
 {
-    const double base = static_cast<double>(config_.accessLatency);
-    if (priority)
-        return base;
-    // M/D/1 mean wait, clamped away from the rho -> 1 pole.
-    const double rho = std::min(utilization_, 0.95);
-    const double wait = base * rho / (2.0 * (1.0 - rho));
-    return base + std::min(wait, base * config_.maxQueueingFactor);
+    return queueingMissPenalty(config_, utilization_, priority);
 }
 
 void

@@ -29,17 +29,23 @@ struct MemoryConfig
 {
     /** Base access latency in core cycles. */
     Cycle accessLatency = 300;
-    /** Peak bandwidth in bytes per second. */
-    double peakBandwidthBytesPerSec = 6.4e9;
-    /** Transfer size per miss/writeback (one L2 block). */
-    unsigned blockBytes = 64;
-    /** Utilisation above which the bus counts as saturated. */
-    double saturationThreshold = 0.85;
-    /** EWMA coefficient for the utilisation estimate. */
-    double ewmaAlpha = 0.5;
     /** Cap on queueing delay as a multiple of the base latency. */
     double maxQueueingFactor = 3.0;
 };
+
+/** Peak bus bandwidth in bytes per core cycle (6.4GB/s at 2GHz). */
+constexpr double memPeakBytesPerCycle =
+    6.4e9 / static_cast<double>(coreClockHz);
+/** Utilisation at or above which a bus (or a share) is saturated. */
+constexpr double memSaturationThreshold = 0.85;
+/** EWMA coefficient of the utilisation and demand estimates. */
+constexpr double memEwmaAlpha = 0.5;
+
+/** Effective L2-miss penalty at utilisation @p rho: base latency
+ *  plus the capped M/D/1 wait, which priority requests (Elastic jobs,
+ *  footnote 2) skip. MainMemory and BandwidthRegulator share it. */
+double queueingMissPenalty(const MemoryConfig &config, double rho,
+                           bool priority);
 
 /**
  * Main memory with a windowed bandwidth/queueing model.
@@ -70,7 +76,7 @@ class MainMemory
     double missPenalty(bool priority = false) const;
 
     /** Bytes per core cycle the bus can move at peak. */
-    double bytesPerCycle() const { return bytesPerCycle_; }
+    double bytesPerCycle() const { return memPeakBytesPerCycle; }
 
     const MemoryConfig &config() const { return config_; }
 
@@ -80,7 +86,6 @@ class MainMemory
 
   private:
     MemoryConfig config_;
-    double bytesPerCycle_;
     double utilization_ = 0.0;
     std::uint64_t totalBytes_ = 0;
 };

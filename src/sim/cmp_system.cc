@@ -177,9 +177,8 @@ CmpSystem::advance(CoreId core_id, InstCount max_instr)
         params, n, l2_accesses, l2_misses, tm, f);
 
     // Report bus traffic (miss fills + dirty writebacks).
-    const std::uint64_t bytes =
-        (l2_misses + writebacks) *
-        static_cast<std::uint64_t>(config_.mem.blockBytes);
+    constexpr std::uint64_t block_bytes = 64; // one L2 block per transfer
+    const std::uint64_t bytes = (l2_misses + writebacks) * block_bytes;
     memory_.noteWindow(bytes, static_cast<Cycle>(cycles));
     bandwidth_->noteWindow(core_id, bytes, static_cast<Cycle>(cycles));
 

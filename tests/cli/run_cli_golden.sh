@@ -57,21 +57,25 @@ check() { # <golden-name> <actual-file>
 
 # Shared scenario: trace replay + fault plan + invariant oracle. Both
 # the driver goldens and the telemetry_dump goldens feed off this run
-# so the two tools are checked against the SAME event stream.
-run_fault_scenario() {
+# so the two tools are checked against the SAME event stream. The run
+# writes $WORK/<tag>.{out,jsonl,csv,trace.jsonl}; further arguments
+# are added to the command line.
+run_fault_scenario() { # <tag> [cluster_driver args...]
+    local tag=$1
+    shift
     "$DRIVER" --nodes 4 --threads 2 --quantum 500000 --seed 11 \
         --instructions 400000 \
         --trace "$FIXTURES/arrivals.trace" \
         --fault-plan "$FIXTURES/sample.plan" \
         --check-invariants \
-        --jsonl "$WORK/metrics.jsonl" \
-        --csv "$WORK/nodes.csv" \
-        --trace-out "$WORK/trace.jsonl" \
-        >"$WORK/driver_fault.out" 2>&1
+        --jsonl "$WORK/$tag.jsonl" \
+        --csv "$WORK/$tag.csv" \
+        --trace-out "$WORK/$tag.trace.jsonl" \
+        "$@" >"$WORK/$tag.out" 2>&1
     local rc=$?
     if [ "$rc" -ne 0 ]; then
-        echo "FAIL: fault scenario exited $rc (expected 0)" >&2
-        cat "$WORK/driver_fault.out" >&2
+        echo "FAIL: fault scenario '$tag' exited $rc (expected 0)" >&2
+        cat "$WORK/$tag.out" >&2
         exit 1
     fi
 }
@@ -91,12 +95,35 @@ case_driver() {
     check driver_poisson.txt "$WORK/driver_poisson.norm"
 
     # 2. Trace replay with the fault plan: stdout + metrics exports.
-    run_fault_scenario
-    normalise <"$WORK/driver_fault.out" >"$WORK/driver_fault.norm"
-    check driver_fault.txt "$WORK/driver_fault.norm"
-    normalise <"$WORK/metrics.jsonl" >"$WORK/metrics.norm"
-    check driver_fault_metrics.jsonl "$WORK/metrics.norm"
-    check driver_fault_nodes.csv "$WORK/nodes.csv"
+    run_fault_scenario fault
+    normalise <"$WORK/fault.out" >"$WORK/fault.norm"
+    check driver_fault.txt "$WORK/fault.norm"
+    normalise <"$WORK/fault.jsonl" >"$WORK/fault_metrics.norm"
+    check driver_fault_metrics.jsonl "$WORK/fault_metrics.norm"
+    check driver_fault_nodes.csv "$WORK/fault.csv"
+
+    # 2b. The same run with the feedback controller on: node 1 crashes
+    # and restarts while nodes 2 and 3 are retuned, so the carried
+    # work, energy and controller tallies all reach the exports.
+    run_fault_scenario control --control on
+    normalise <"$WORK/control.out" >"$WORK/control.norm"
+    check driver_fault_control.txt "$WORK/control.norm"
+    normalise <"$WORK/control.jsonl" >"$WORK/control_metrics.norm"
+    check driver_fault_control_metrics.jsonl "$WORK/control_metrics.norm"
+    check driver_fault_control_nodes.csv "$WORK/control.csv"
+
+    # 2c. Sharded over two uds links, every node snapshot crosses the
+    # wire field by field and must come back unchanged.
+    run_fault_scenario control_uds --control on --shards 2 --transport uds
+    if [ "$UPDATE" != 1 ]; then
+        if cmp -s "$WORK/control.csv" "$WORK/control_uds.csv"; then
+            echo "ok: sharded controller run writes the same CSV"
+        else
+            echo "FAIL: --shards 2 --transport uds CSV differs:" >&2
+            diff -u "$WORK/control.csv" "$WORK/control_uds.csv" >&2
+            STATUS=1
+        fi
+    fi
 
     # 3. A malformed plan must fail loudly with the offending line.
     printf 'crash 1 2\nfrobnicate 0 0\n' >"$WORK/bad.plan"
@@ -139,15 +166,15 @@ expect_fatal() { # <needle> <cluster_driver args...>
 }
 
 case_dump() {
-    run_fault_scenario
-    "$DUMP" "$WORK/trace.jsonl" >"$WORK/dump_summary.out" 2>&1 || {
+    run_fault_scenario fault
+    "$DUMP" "$WORK/fault.trace.jsonl" >"$WORK/dump_summary.out" 2>&1 || {
         echo "FAIL: telemetry_dump summary exited non-zero" >&2
         exit 1
     }
     normalise <"$WORK/dump_summary.out" >"$WORK/dump_summary.norm"
     check dump_summary.txt "$WORK/dump_summary.norm"
 
-    "$DUMP" "$WORK/trace.jsonl" --faults >"$WORK/dump_faults.out" \
+    "$DUMP" "$WORK/fault.trace.jsonl" --faults >"$WORK/dump_faults.out" \
         2>&1 || {
         echo "FAIL: telemetry_dump --faults exited non-zero" >&2
         exit 1

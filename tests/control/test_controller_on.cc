@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "cluster/engine.hh"
+#include "common/wire_codec.hh"
 #include "control/config.hh"
 #include "control/controller.hh"
 #include "federation/federated_engine.hh"
@@ -190,9 +192,17 @@ TEST(ControllerOn, TalliesFlattenRoundTrip)
     t.wayReturns = 4;
     t.bwGrants = 5;
     t.bwReturns = 6;
-    const auto flat = flattenTallies(t);
-    ASSERT_EQ(flat.size(), ControlTallies::numFields);
-    const ControlTallies back = unflattenTallies(flat);
+    // The tallies cross the shard link through their one field list:
+    // one u64 per counter, and every counter comes back.
+    BinWriter w;
+    visitFields(t, w);
+    EXPECT_EQ(w.out.size(), std::size(controlTallyFields) * 8);
+    BinReader r;
+    r.in = w.out;
+    ControlTallies back;
+    visitFields(back, r);
+    ASSERT_TRUE(r.ok) << r.err;
+    EXPECT_EQ(r.pos, w.out.size());
     EXPECT_EQ(back.retunes, t.retunes);
     EXPECT_EQ(back.freqBoosts, t.freqBoosts);
     EXPECT_EQ(back.freqDrops, t.freqDrops);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -110,7 +111,7 @@ sampleMessages()
     msgs.emplace_back(dd);
 
     FedSnapshotReply snap;
-    WireNodeMetrics nm;
+    NodeMetrics nm;
     nm.node = 2;
     nm.virtualTime = 9'000'000;
     nm.placed = 6;
@@ -121,8 +122,11 @@ sampleMessages()
     nm.stolenWays = 2;
     nm.failed = 1;
     nm.restarts = 1;
-    nm.alive = 1;
-    nm.modeTallies = {5, 5, 0, 0, 0, 0};
+    nm.alive = true;
+    nm.byMode[0] = {5, 5};
+    nm.energy = 1.5e6;
+    nm.control.retunes = 3;
+    nm.control.wayGrants = 3;
     snap.nodes = {nm};
     msgs.emplace_back(snap);
 
@@ -202,6 +206,31 @@ TEST(FedMessages, UnknownTypeIsRejected)
     std::string error;
     EXPECT_FALSE(decodeFedPayload(payload, seq, out, error));
     EXPECT_NE(error.find("unknown message type"), std::string::npos);
+}
+
+TEST(FedMessages, BoolByteOtherThanZeroOrOneIsRejected)
+{
+    // A node snapshot's `alive` travels as one byte; find it as the
+    // only byte that differs between a live and a dead node.
+    FedSnapshotReply live;
+    live.nodes.emplace_back();
+    FedSnapshotReply dead = live;
+    dead.nodes[0].alive = false;
+    std::string payload = encodeFedPayload(1, live);
+    const std::string other = encodeFedPayload(1, dead);
+    ASSERT_EQ(payload.size(), other.size());
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(payload.begin(), payload.end(), other.begin())
+            .first -
+        payload.begin());
+    ASSERT_LT(at, payload.size());
+    payload[at] = '\x02';
+    std::uint64_t seq = 0;
+    FedMessage out;
+    std::string error;
+    EXPECT_FALSE(decodeFedPayload(payload, seq, out, error));
+    EXPECT_NE(error.find("bool field 'alive'"), std::string::npos)
+        << error;
 }
 
 TEST(FedFraming, ExtractsBackToBackFrames)

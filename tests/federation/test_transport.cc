@@ -143,6 +143,29 @@ class ServedController : public ::testing::Test
         return out;
     }
 
+    /** Send @p m; the reply must be a FedError containing @p why. */
+    void
+    expectRefused(std::uint64_t seq, const FedMessage &m,
+                  const std::string &why)
+    {
+        send(seq, m);
+        const FedMessage reply = expectReply();
+        const auto *err = std::get_if<FedError>(&reply);
+        ASSERT_NE(err, nullptr) << fedMessageName(reply);
+        EXPECT_NE(err->message.find(why), std::string::npos)
+            << err->message;
+    }
+
+    static FedSubmit
+    submitTo(std::int32_t node)
+    {
+        FedSubmit m;
+        m.node = node;
+        m.request.benchmark = "bzip2";
+        m.request.instructions = 400'000;
+        return m;
+    }
+
     static FedInit
     init()
     {
@@ -237,6 +260,40 @@ TEST_F(ServedController, ThreadCountAboveTheMaximumIsRejected)
     EXPECT_NE(err->message.find("threads"), std::string::npos)
         << err->message;
     send(2, FedShutdown{});
+}
+
+// A node command the shard's slice cannot run is answered with a
+// FedError naming the node, and the shard goes on serving.
+TEST_F(ServedController, NodeOutsideTheSliceIsRefused)
+{
+    send(1, init());
+    ASSERT_TRUE(std::holds_alternative<FedReady>(expectReply()));
+    expectRefused(2, submitTo(7), "submit: node 7 is not in this "
+                                  "shard's slice");
+    expectRefused(3, FedCrash{2}, "crash: node 2 is not in");
+    expectRefused(4, FedRestart{-1, 500'000}, "restart: node -1 is not in");
+    expectRefused(5, FedRelocFail{5}, "reloc-fail: node 5 is not in");
+
+    // The slice's own nodes still take commands.
+    send(6, FedCrash{1});
+    EXPECT_TRUE(std::holds_alternative<FedCrashReport>(expectReply()));
+    send(7, FedShutdown{});
+}
+
+TEST_F(ServedController, CrashOfACrashedNodeIsRefused)
+{
+    send(1, init());
+    ASSERT_TRUE(std::holds_alternative<FedReady>(expectReply()));
+    send(2, FedCrash{1});
+    ASSERT_TRUE(std::holds_alternative<FedCrashReport>(expectReply()));
+    expectRefused(3, FedCrash{1}, "crash: node 1 is dead");
+    expectRefused(4, submitTo(1), "submit: node 1 is dead");
+    expectRefused(5, FedRestart{0, 500'000}, "restart: node 0 is alive");
+
+    // The refusals changed nothing: node 1 restarts as usual.
+    send(6, FedRestart{1, 500'000});
+    EXPECT_TRUE(std::holds_alternative<FedRestartAck>(expectReply()));
+    send(7, FedShutdown{});
 }
 
 TEST_F(ServedController, GarbagePayloadAnswersFedError)

@@ -87,10 +87,10 @@ TEST(WireSchemaBytes, EveryFederationMessage)
 TEST(WireSchemaBytes, EveryNestedFederationStruct)
 {
     // FedProbe embeds a WireJobRequest; one element in each list puts
-    // WireProbe, WireLostJob (embedding another) and WireNodeMetrics
-    // on the wire.
+    // WireProbe, WireLostJob (embedding another) and NodeMetrics
+    // (embedding ModeTally and ControlTallies) on the wire.
     const WireSchema s = fedWireSchema();
-    EXPECT_EQ(s.nested.size(), 4u);
+    EXPECT_EQ(s.nested.size(), 6u);
     FedProbeReply probes;
     probes.probes.emplace_back();
     FedCrashReport crash;

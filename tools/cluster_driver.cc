@@ -256,21 +256,18 @@ main(int argc, char **argv)
         duration == 0 ? engine->runToCompletion(*arrivals)
                       : engine->runForDuration(*arrivals, duration);
 
-    std::printf("\n%-26s %llu\n", "jobs submitted",
-                static_cast<unsigned long long>(m.submitted));
+    // Every counter is a u64; %llu wants unsigned long long.
+    const auto u = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    std::printf("\n%-26s %llu\n", "jobs submitted", u(m.submitted));
     std::printf("%-26s %llu (%.1f%%), %llu negotiated\n", "accepted",
-                static_cast<unsigned long long>(m.accepted),
-                100.0 * m.acceptRate(),
-                static_cast<unsigned long long>(m.negotiated));
-    std::printf("%-26s %llu\n", "rejected",
-                static_cast<unsigned long long>(m.rejected));
+                u(m.accepted), 100.0 * m.acceptRate(), u(m.negotiated));
+    std::printf("%-26s %llu\n", "rejected", u(m.rejected));
     std::printf("%-26s gold %llu / silver %llu / bronze %llu\n",
-                "accepted by tier",
-                static_cast<unsigned long long>(m.acceptedByTier[0]),
-                static_cast<unsigned long long>(m.acceptedByTier[1]),
-                static_cast<unsigned long long>(m.acceptedByTier[2]));
-    std::printf("%-26s %llu\n", "completed",
-                static_cast<unsigned long long>(m.completed));
+                "accepted by tier", u(m.acceptedByTier[0]),
+                u(m.acceptedByTier[1]), u(m.acceptedByTier[2]));
+    std::printf("%-26s %llu\n", "completed", u(m.completed));
     // Modes that never completed a job have no hit rate (NaN).
     auto rate = [](const ModeTally &t) {
         if (!t.hasHitRate())
@@ -289,66 +286,35 @@ main(int argc, char **argv)
     for (const auto &n : m.nodes)
         std::printf("  node %-3d placed %-4llu completed %-4llu "
                     "util %.2f stolen-ways %llu%s\n",
-                    n.node, static_cast<unsigned long long>(n.placed),
-                    static_cast<unsigned long long>(n.completed),
-                    n.utilisation,
-                    static_cast<unsigned long long>(n.stolenWays),
-                    n.alive ? "" : " [down]");
-    if (m.faults.any())
+                    n.node, u(n.placed), u(n.completed), n.utilisation,
+                    u(n.stolenWays), n.alive ? "" : " [down]");
+    const FaultTallies &f = m.faults;
+    if (f.any())
         std::printf("%-26s %llu crashes, %llu restarts, %llu failed, "
                     "%llu relocated (%llu downgraded, %llu rejected), "
                     "%llu probes dropped, %llu probe timeouts, "
                     "%llu dup replies, %llu stalled quanta\n",
-                    "faults",
-                    static_cast<unsigned long long>(m.faults.crashes),
-                    static_cast<unsigned long long>(m.faults.restarts),
-                    static_cast<unsigned long long>(m.faults.failedJobs),
-                    static_cast<unsigned long long>(
-                        m.faults.relocated +
-                        m.faults.relocationDowngraded),
-                    static_cast<unsigned long long>(
-                        m.faults.relocationDowngraded),
-                    static_cast<unsigned long long>(
-                        m.faults.relocationRejected),
-                    static_cast<unsigned long long>(
-                        m.faults.probesDropped),
-                    static_cast<unsigned long long>(
-                        m.faults.probeTimeouts),
-                    static_cast<unsigned long long>(
-                        m.faults.duplicateReplies),
-                    static_cast<unsigned long long>(
-                        m.faults.stalledQuanta));
-    if (m.faults.linkDrops || m.faults.linkDups ||
-        m.faults.linkDelayCycles || m.faults.partitionedQuanta)
+                    "faults", u(f.crashes), u(f.restarts),
+                    u(f.failedJobs),
+                    u(f.relocated + f.relocationDowngraded),
+                    u(f.relocationDowngraded), u(f.relocationRejected),
+                    u(f.probesDropped), u(f.probeTimeouts),
+                    u(f.duplicateReplies), u(f.stalledQuanta));
+    if (f.linkDrops || f.linkDups || f.linkDelayCycles ||
+        f.partitionedQuanta)
         std::printf("%-26s %llu drops, %llu dups, %llu delay cycles, "
                     "%llu partitioned quanta\n",
-                    "shard links",
-                    static_cast<unsigned long long>(m.faults.linkDrops),
-                    static_cast<unsigned long long>(m.faults.linkDups),
-                    static_cast<unsigned long long>(
-                        m.faults.linkDelayCycles),
-                    static_cast<unsigned long long>(
-                        m.faults.partitionedQuanta));
+                    "shard links", u(f.linkDrops), u(f.linkDups),
+                    u(f.linkDelayCycles), u(f.partitionedQuanta));
 
+    const ControlTallies &c = m.control;
     if (m.controllerOn)
         std::printf("%-26s %llu retunes (%llu freq+, %llu freq-, "
                     "%llu way+, %llu way-, %llu bw+, %llu bw-), "
                     "energy %.1f\n",
-                    "controller",
-                    static_cast<unsigned long long>(m.control.retunes),
-                    static_cast<unsigned long long>(
-                        m.control.freqBoosts),
-                    static_cast<unsigned long long>(
-                        m.control.freqDrops),
-                    static_cast<unsigned long long>(
-                        m.control.wayGrants),
-                    static_cast<unsigned long long>(
-                        m.control.wayReturns),
-                    static_cast<unsigned long long>(
-                        m.control.bwGrants),
-                    static_cast<unsigned long long>(
-                        m.control.bwReturns),
-                    m.energy);
+                    "controller", u(c.retunes), u(c.freqBoosts),
+                    u(c.freqDrops), u(c.wayGrants), u(c.wayReturns),
+                    u(c.bwGrants), u(c.bwReturns), m.energy);
 
     if (print_fingerprint)
         std::printf("fingerprint %s\n", m.fingerprint().c_str());
@@ -362,19 +328,15 @@ main(int argc, char **argv)
         collector->finish(config.seed, engine->numThreads(),
                           m.wallSeconds);
         std::printf("%-26s %llu events (%llu dropped)\n", "trace",
-                    static_cast<unsigned long long>(
-                        collector->eventsDelivered()),
-                    static_cast<unsigned long long>(
-                        collector->totalDrops()));
+                    u(collector->eventsDelivered()),
+                    u(collector->totalDrops()));
     }
 
     if (config.checkInvariants) {
         const std::uint64_t violations = engine->invariantViolations();
         std::printf("%-26s %llu checks, %llu violations\n",
-                    "invariants",
-                    static_cast<unsigned long long>(
-                        engine->invariantChecksRun()),
-                    static_cast<unsigned long long>(violations));
+                    "invariants", u(engine->invariantChecksRun()),
+                    u(violations));
         if (violations != 0) {
             std::printf("%s", engine->invariantReport().c_str());
             // The run is a function of its flags, so they replay the
