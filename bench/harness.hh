@@ -8,7 +8,8 @@
  * stated). Scale knobs come from the environment:
  *
  *   CMPQOS_JOB_INSTR  instructions per job   (default 30,000,000;
- *                     at most 2^40)
+ *                     at most what every benchmark's job runs inside
+ *                     its address window, about 4.5e9)
  *   CMPQOS_JOBS       accepted jobs/workload (default 10, as in the
  *                     paper; at least 1)
  *   CMPQOS_SEED       workload seed          (default 1)
@@ -24,6 +25,7 @@
 #ifndef CMPQOS_BENCH_HARNESS_HH
 #define CMPQOS_BENCH_HARNESS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -34,6 +36,7 @@
 #include "qos/framework.hh"
 #include "qos/workload_spec.hh"
 #include "stats/table.hh"
+#include "workload/generator.hh"
 
 namespace cmpqos::bench
 {
@@ -58,12 +61,23 @@ envOr(const char *name, std::uint64_t fallback, std::uint64_t lo,
 constexpr std::uint64_t anyCount =
     std::numeric_limits<std::uint64_t>::max();
 
+/** The longest job each registry benchmark runs inside its address
+ *  window (maxJobInstructions). */
+inline InstCount
+longestJobOfEveryBenchmark()
+{
+    InstCount most = anyCount;
+    for (const BenchmarkProfile &b : BenchmarkRegistry::all())
+        most = std::min(most, maxJobInstructions(b));
+    return most;
+}
+
 /** The three scale knobs, read once: a bad one stops the bench at
  *  its first use of any, before a run. */
 struct Scale
 {
     InstCount jobInstructions =
-        envOr("CMPQOS_JOB_INSTR", 30'000'000, 1, InstCount{1} << 40);
+        envOr("CMPQOS_JOB_INSTR", 30'000'000, 1, longestJobOfEveryBenchmark());
     std::uint64_t jobs = envOr("CMPQOS_JOBS", 10, 1, anyCount);
     std::uint64_t seed = envOr("CMPQOS_SEED", 1, 0, anyCount);
 };

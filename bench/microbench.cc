@@ -2,8 +2,9 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
  * partitioned-L2 access path (misses, hits and job churn), the L1,
- * the duplicate tag array, the stack-distance sampler, the generator,
- * a whole node's advance, generator setup, and the LAC admission test
+ * the duplicate tag array, the stack-distance sampler, the generator
+ * (its draws alone, and a job's setup plus first chunk), a whole
+ * node's advance, generator setup, and the LAC admission test
  * — the hot paths of the simulator and framework.
  */
 
@@ -185,6 +186,49 @@ BM_GeneratorRun(benchmark::State &state)
     state.SetLabel("items = instructions");
 }
 BENCHMARK(BM_GeneratorRun);
+
+/**
+ * The generator's draws alone, with no reuse stack: per access, a
+ * stack distance from bzip2's L2 profile and a write flag.
+ */
+void
+BM_GeneratorDraws(benchmark::State &state)
+{
+    const auto &b = BenchmarkRegistry::get("bzip2");
+    const std::uint64_t write_bound = Rng::bernoulliBound(b.writeFraction);
+    Rng rng(5);
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        sink += b.l2Profile.sample(rng).value_or(0);
+        sink += rng.draw53() < write_bound ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel("items = accesses");
+}
+BENCHMARK(BM_GeneratorDraws);
+
+/**
+ * What a job costs the node before its first quantum ends: its
+ * generator with the warmed reuse stack, then one chunk of
+ * CmpConfig::chunkInstructions run through it (no cache walk).
+ */
+void
+BM_GeneratorJobStart(benchmark::State &state, const char *benchmark_name)
+{
+    const auto &b = BenchmarkRegistry::get(benchmark_name);
+    const InstCount chunk = CmpConfig{}.chunkInstructions;
+    std::uint64_t seed = 0, sink = 0;
+    for (auto _ : state) {
+        AccessGenerator gen(b, ++seed, jobAddressBase(1));
+        gen.run(chunk, [&](Addr a, bool) { sink += a; });
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel("items = jobs");
+}
+BENCHMARK_CAPTURE(BM_GeneratorJobStart, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_GeneratorJobStart, mcf, "mcf");
 
 /**
  * The whole node access path: four Reserved cores with four ways each

@@ -7,6 +7,7 @@
 #include "common/line_file.hh"
 #include "common/logging.hh"
 #include "workload/benchmark.hh"
+#include "workload/generator.hh"
 
 namespace cmpqos
 {
@@ -48,6 +49,23 @@ arrivalBoundsError(Cycle time, InstCount instructions)
     return {};
 }
 
+std::string
+arrivalBoundsError(Cycle time, InstCount instructions,
+                   const std::string &benchmark)
+{
+    if (!BenchmarkRegistry::has(benchmark))
+        return "unknown benchmark '" + benchmark + "'";
+    const InstCount most =
+        maxJobInstructions(BenchmarkRegistry::get(benchmark));
+    std::string why = arrivalBoundsError(time, instructions);
+    if (why.empty() && instructions > most)
+        why = "instruction count " + std::to_string(instructions) +
+              " would take a " + benchmark +
+              " job past its address window (at most " +
+              std::to_string(most) + ")";
+    return why;
+}
+
 void
 ArrivalLine::write(std::ostream &os) const
 {
@@ -72,7 +90,7 @@ ArrivalLine::read(const std::vector<std::string_view> &words,
         why = "unknown tier '" + std::string(words[2]) +
               "' (want gold, silver or bronze)";
     else
-        why = arrivalBoundsError(time, instructions);
+        why = arrivalBoundsError(time, instructions, std::string(benchmark));
     return why.empty();
 }
 
@@ -126,9 +144,11 @@ PoissonArrivalProcess::PoissonArrivalProcess(double mean_interarrival,
                      mix_.benchmarks.size(),
                      mix_.benchmarkWeights.size());
     }
-    const std::string bad = arrivalBoundsError(0, mix_.instructions);
-    if (!bad.empty())
-        cmpqos_fatal("arrival mix: %s", bad.c_str());
+    for (const auto &b : mix_.benchmarks) {
+        const std::string bad = arrivalBoundsError(0, mix_.instructions, b);
+        if (!bad.empty())
+            cmpqos_fatal("arrival mix: %s", bad.c_str());
+    }
 }
 
 std::optional<ClusterArrival>

@@ -70,6 +70,12 @@ constexpr InstCount maxArrivalInstructions = InstCount{1} << 40;
  *  <= maxArrivalInstructions; otherwise a message naming the value. */
 std::string arrivalBoundsError(Cycle time, InstCount instructions);
 
+/** The bounds above, and @p benchmark must be a registry name whose
+ *  job stays inside its address window on an L2-stream node, as every
+ *  tool's nodes are: at most maxJobInstructions() instructions. */
+std::string arrivalBoundsError(Cycle time, InstCount instructions,
+                               const std::string &benchmark);
+
 /** One arrival-trace line, `<time> <benchmark> <tier>
  *  [instructions]`: the one definition the qosd journal writes and
  *  TraceArrivalProcess reads. */

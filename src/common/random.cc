@@ -75,6 +75,15 @@ Rng::discrete(const std::vector<double> &weights)
     return discrete(weights, total);
 }
 
+std::uint64_t
+Rng::bernoulliBound(double p)
+{
+    // ceil(p * 2^53): scaling by 2^53 is exact, and draws are integers.
+    return !(p > 0.0) ? 0
+           : p >= 1.0 ? drawSpan
+                      : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
 Rng
 Rng::fork()
 {

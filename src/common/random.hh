@@ -49,13 +49,14 @@ class Rng
         return result;
     }
 
+    /** One past the largest draw53(): 2^53. */
+    static constexpr std::uint64_t drawSpan = std::uint64_t{1} << 53;
+
+    /** @return the 53 random bits that uniform() scales to [0, 1). */
+    std::uint64_t draw53() { return next() >> 11; }
+
     /** @return a uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        // 53 random mantissa bits -> double in [0, 1).
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform() { return static_cast<double>(draw53()) * 0x1.0p-53; }
 
     /** @return a uniform integer in [0, bound) — bound must be > 0. */
     std::uint64_t
@@ -111,7 +112,19 @@ class Rng
     discrete(const std::vector<double> &weights, double total)
     {
         cmpqos_assert(total > 0.0, "discrete weights must not all be zero");
-        double target = uniform() * total;
+        return discreteIndex(draw53(), weights, total);
+    }
+
+    /**
+     * discrete()'s index at draw53() @p bits, scaled as uniform() scales
+     * it. It never decreases as @p bits grows: each rounding step is
+     * monotone (DESIGN.md §6).
+     */
+    static std::size_t
+    discreteIndex(std::uint64_t bits, const std::vector<double> &weights,
+                  double total)
+    {
+        double target = static_cast<double>(bits) * 0x1.0p-53 * total;
         for (std::size_t i = 0; i < weights.size(); ++i) {
             target -= weights[i];
             if (target < 0.0)
@@ -122,6 +135,9 @@ class Rng
 
     /** @return true with probability @p p. */
     bool bernoulli(double p) { return uniform() < p; }
+
+    /** The draw53() below which bernoulli(@p p) holds (0 for NaN). */
+    static std::uint64_t bernoulliBound(double p);
 
     /** Fork an independent stream, deterministic in this stream. */
     Rng fork();

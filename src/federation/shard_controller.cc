@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "cluster/arrival.hh"
 #include "common/logging.hh"
 #include "control/config.hh"
 
@@ -153,6 +154,12 @@ ShardController::handle(const FedMessage &msg)
         InstCount instructions = 0;
         const JobRequest request =
             fromWireRequest(m->request, instructions);
+        // The coordinator checks its arrivals, but a job no node here
+        // could run is refused too, not fatal in its stream.
+        const std::string why =
+            arrivalBoundsError(0, instructions, request.benchmark);
+        if (!why.empty())
+            return FedError{std::string(fedMessageName(msg)) + ": " + why};
         const JobId job =
             nodes_->submit(m->node, request, instructions, 0);
         return FedSubmitAck{

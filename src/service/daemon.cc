@@ -754,8 +754,9 @@ QosDaemon::handleSubmit(Session &s, const Submit &m)
         time = lastTime_ +
                std::min(config_.arrivalGap, maxCycle - lastTime_);
     // Refused like an unknown benchmark: the engine never sees an
-    // arrival whose cycle arithmetic could overflow.
-    fail.error = arrivalBoundsError(time, instructions);
+    // arrival whose cycle arithmetic could overflow or whose job would
+    // leave its address window.
+    fail.error = arrivalBoundsError(time, instructions, m.benchmark);
     if (!fail.error.empty()) {
         s.enqueue(fail);
         return;

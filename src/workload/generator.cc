@@ -30,8 +30,17 @@ Addr
 jobAddressBase(JobId job)
 {
     cmpqos_assert(job >= 0, "job id must be non-negative");
-    // 16GB per job keeps block ids disjoint for any realistic stream.
-    return static_cast<Addr>(job + 1) << 34;
+    // 16GB per job, which AccessGenerator enforces.
+    return static_cast<Addr>(job + 1) << jobAddressBits;
+}
+
+InstCount
+maxJobInstructions(const BenchmarkProfile &profile)
+{
+    // One block to spare absorbs the rounding of the accesses owed.
+    const std::uint64_t blocks = (Addr{1} << jobAddressBits) / 64 -
+                                 profile.l2Profile.maxFiniteDistance() - 1;
+    return static_cast<InstCount>(static_cast<double>(blocks) / profile.h2);
 }
 
 namespace
@@ -69,6 +78,7 @@ AccessGenerator::AccessGenerator(const BenchmarkProfile &profile,
                          ? profile.l2Profile
                          : buildFullStreamProfile(profile)),
       stack_(liveBlockCap(streamProfile_)),
+      writeBound_(Rng::bernoulliBound(profile.writeFraction)),
       rate_(mode == TraceMode::L2Stream ? profile.h2
                                         : profile.memRefsPerInstr)
 {

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "workload/benchmark.hh"
@@ -35,6 +36,17 @@ enum class TraceMode
     L2Stream,
     Full,
 };
+
+/** log2 of the bytes each job owns from its jobAddressBase(): 16 GiB. */
+constexpr unsigned jobAddressBits = 34;
+
+/**
+ * The most instructions a job of @p profile can run in the L2 stream
+ * before a new block could leave its address window: the warm fill
+ * takes maxFiniteDistance() 64-byte blocks, and each access at most one
+ * more.
+ */
+InstCount maxJobInstructions(const BenchmarkProfile &profile);
 
 /**
  * Stateful generator of one job's access stream.
@@ -113,10 +125,8 @@ class AccessGenerator
     void
     forEachStandingBlock(F &&visit) const
     {
-        stack_.forEachLive([&](std::uint64_t block) {
-            visit(addressBase_ +
-                  block * static_cast<Addr>(blockSize_));
-        });
+        stack_.forEachLive(
+            [&](std::uint64_t block) { visit(addressOf(block)); });
     }
 
   private:
@@ -130,8 +140,20 @@ class AccessGenerator
         const std::uint64_t block =
             distance ? stack_.accessAtDistance(*distance)
                      : stack_.accessNew();
-        addr = addressBase_ + block * static_cast<Addr>(blockSize_);
-        is_write = rng_.bernoulli(profile_->writeFraction);
+        addr = addressOf(block);
+        is_write = rng_.draw53() < writeBound_;
+    }
+
+    /** @p block's address (fatal past the job's address window). */
+    Addr
+    addressOf(std::uint64_t block) const
+    {
+        // A block id fits 32 bits, so the offset cannot wrap.
+        const Addr offset = block * static_cast<Addr>(blockSize_);
+        if (offset >> jobAddressBits != 0) [[unlikely]]
+            cmpqos_fatal("block %llu leaves the job's address window",
+                         static_cast<unsigned long long>(block));
+        return addressBase_ + offset;
     }
 
     const BenchmarkProfile *profile_;
@@ -142,6 +164,8 @@ class AccessGenerator
     /** Declared before stack_, whose cap is read from it. */
     StackDistanceProfile streamProfile_;
     LruStackSampler stack_;
+    /** Rng::bernoulliBound() of the profile's write fraction. */
+    std::uint64_t writeBound_;
     double rate_;
     double accum_ = 0.0;
     std::uint64_t emitted_ = 0;

@@ -117,6 +117,18 @@ StackDistanceProfile::StackDistanceProfile(
         totalWeight_ += c.weight;
     }
     cmpqos_assert(totalWeight_ > 0.0, "profile weights sum to zero");
+    // The least draw whose index reaches i; discreteIndex() is monotone.
+    for (std::size_t i = 1; i < components_.size(); ++i) {
+        std::uint64_t lo = 0, hi = Rng::drawSpan;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (Rng::discreteIndex(mid, weights_, totalWeight_) >= i)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        componentBounds_.push_back(lo);
+    }
 }
 
 double

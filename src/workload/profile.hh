@@ -104,7 +104,7 @@ class StackDistanceProfile
     std::optional<std::uint64_t>
     sample(Rng &rng) const
     {
-        const std::size_t idx = rng.discrete(weights_, totalWeight_);
+        const std::size_t idx = component(rng.draw53());
         const ProfileComponent &c = components_[idx];
         switch (c.kind) {
           case ProfileComponent::Kind::Cold:
@@ -119,6 +119,16 @@ class StackDistanceProfile
             return 1 + rng.geometric(1.0 / std::max(c.mean, 1.0));
         }
         return std::nullopt;
+    }
+
+    /** The component Rng::discrete() picks at draw53() @p bits. */
+    std::size_t
+    component(std::uint64_t bits) const
+    {
+        std::size_t idx = 0;
+        for (const std::uint64_t bound : componentBounds_)
+            idx += bits >= bound ? 1 : 0;
+        return idx;
     }
 
     /**
@@ -160,6 +170,8 @@ class StackDistanceProfile
     double totalWeight_ = 0.0;
     /** One per component; zero for all but Uniform ones. */
     std::vector<UniformSpan> uniformSpans_;
+    /** Per later component, the least draw53() picking it or a later one. */
+    std::vector<std::uint64_t> componentBounds_;
 };
 
 } // namespace cmpqos

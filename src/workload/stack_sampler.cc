@@ -49,8 +49,18 @@ LruStackSampler::takeRank(std::uint64_t rank)
     return word * 64 + bit;
 }
 
+std::uint64_t
+LruStackSampler::claimIds(std::uint64_t count)
+{
+    if (count > (std::uint64_t{1} << 32) - nextBlockId_)
+        cmpqos_fatal("block id %llu overflows the 32-bit slots",
+                     static_cast<unsigned long long>(nextBlockId_ + count - 1));
+    nextBlockId_ += count;
+    return nextBlockId_ - count;
+}
+
 void
-LruStackSampler::pushTop(std::uint64_t block)
+LruStackSampler::pushTop(std::uint32_t block)
 {
     if (nextSlot_ == slotBlock_.size())
         makeRoom(1);
@@ -91,9 +101,9 @@ LruStackSampler::dropLru()
 std::uint64_t
 LruStackSampler::accessNew()
 {
+    const auto block = static_cast<std::uint32_t>(claimIds(1));
     if (liveCount_ >= maxLive_)
         dropLru();
-    const std::uint64_t block = nextBlockId_++;
     pushTop(block);
     ++liveCount_;
     return block;
@@ -106,7 +116,7 @@ LruStackSampler::accessNewBlocks(std::uint64_t count)
     // before them would be pushed and dropped again straight away.
     const auto kept =
         static_cast<std::size_t>(std::min<std::uint64_t>(count, maxLive_));
-    nextBlockId_ += count - kept;
+    const std::uint64_t first = claimIds(count) + (count - kept);
     while (liveCount_ + kept > maxLive_)
         dropLru();
     if (kept == 0)
@@ -114,12 +124,11 @@ LruStackSampler::accessNewBlocks(std::uint64_t count)
     if (nextSlot_ + kept > slotBlock_.size())
         makeRoom(kept);
     for (std::size_t i = 0; i < kept; ++i)
-        slotBlock_[nextSlot_ + i] = nextBlockId_ + i;
+        slotBlock_[nextSlot_ + i] = static_cast<std::uint32_t>(first + i);
     occupy(nextSlot_, nextSlot_ + kept);
     recount();
     nextSlot_ += kept;
     liveCount_ += kept;
-    nextBlockId_ += kept;
 }
 
 std::uint64_t
@@ -135,7 +144,7 @@ LruStackSampler::accessAtDistance(std::uint64_t d)
 
     // The d-th most recently used = rank (live - d + 1) from the
     // bottom among occupied slots.
-    const std::uint64_t block = slotBlock_[takeRank(liveCount_ - d + 1)];
+    const std::uint32_t block = slotBlock_[takeRank(liveCount_ - d + 1)];
     pushTop(block);
     return block;
 }

@@ -58,7 +58,7 @@ class LruStackSampler
      * @param max_live_blocks cap on tracked blocks; beyond this the
      *        LRU block is dropped from the stack. Choose at least the
      *        largest stack distance of interest. Memory follows the
-     *        blocks actually live (8 to 32 bytes each), not this cap.
+     *        blocks actually live (4 to 16 bytes each), not this cap.
      */
     explicit LruStackSampler(std::size_t max_live_blocks = defaultMaxLive);
 
@@ -111,8 +111,11 @@ class LruStackSampler
     }
 
   private:
+    /** Claim @p count fresh block ids (fatal past 2^32); @return the first. */
+    std::uint64_t claimIds(std::uint64_t count);
+
     /** Place @p block at the top of the stack. */
-    void pushTop(std::uint64_t block);
+    void pushTop(std::uint32_t block);
 
     /** Clear occupied slot @p slot. */
     void vacate(std::size_t slot);
@@ -153,7 +156,7 @@ class LruStackSampler
     static constexpr std::size_t noOpenWord = ~std::size_t{0};
     std::size_t openWord_ = noOpenWord;
     /** slot -> block id (valid where occupied). */
-    std::vector<std::uint64_t> slotBlock_;
+    std::vector<std::uint32_t> slotBlock_;
     std::size_t nextSlot_ = 0;
     /** Every occupied_ word below this one is empty. */
     std::size_t lruWord_ = 0;

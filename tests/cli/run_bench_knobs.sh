@@ -29,5 +29,7 @@ expect_refused() { # <variable> <value>
 
 expect_refused CMPQOS_JOBS abc
 expect_refused CMPQOS_JOB_INSTR 12.5e3
+# Longer than some benchmark's job runs inside its address window.
+expect_refused CMPQOS_JOB_INSTR 1099511627776
 
 exit $STATUS

@@ -10,9 +10,12 @@
 #include <array>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/arrival.hh"
+#include "workload/benchmark.hh"
+#include "workload/generator.hh"
 
 namespace cmpqos
 {
@@ -182,10 +185,12 @@ TEST(Arrival, BoundsRefuseOverflowingArrivals)
     EXPECT_NE(arrivalBoundsError(0, maxArrivalInstructions + 1), "");
 
     // At the edges of both bounds, a line the journal writes reads
-    // back through the trace as the same arrival.
+    // back through the trace as the same arrival. A hmmer job's count
+    // stops short of maxArrivalInstructions, at its address window.
     for (const Cycle time : {Cycle{0}, maxArrivalTime}) {
         for (const InstCount instructions :
-             {InstCount{1}, maxArrivalInstructions}) {
+             {InstCount{1},
+              maxJobInstructions(BenchmarkRegistry::get("hmmer"))}) {
             std::ostringstream os;
             ArrivalLine{time, "hmmer", QosTier::Silver, instructions}.write(
                 os);
@@ -199,6 +204,33 @@ TEST(Arrival, BoundsRefuseOverflowingArrivals)
             EXPECT_EQ(got[0].instructions, instructions);
         }
     }
+}
+
+TEST(Arrival, JobsPastTheirAddressWindowAreRefused)
+{
+    for (const BenchmarkProfile &b : BenchmarkRegistry::all()) {
+        const InstCount most = maxJobInstructions(b);
+        ASSERT_LT(most, maxArrivalInstructions) << b.name;
+        EXPECT_EQ(arrivalBoundsError(maxArrivalTime, most, b.name), "")
+            << b.name;
+        const std::string why =
+            arrivalBoundsError(0, most + 1, b.name);
+        EXPECT_NE(why.find("past its address window"), std::string::npos)
+            << b.name << ": " << why;
+    }
+    // The sums' bounds come first, as without a benchmark.
+    EXPECT_EQ(arrivalBoundsError(0, 0, "bzip2"),
+              arrivalBoundsError(0, 0));
+    EXPECT_EQ(arrivalBoundsError(maxArrivalTime + 1, 1, "bzip2"),
+              arrivalBoundsError(maxArrivalTime + 1, 1));
+    // libquantum takes a fresh block on 0.0225 of its instructions, so
+    // 1.2e10 of them would pass 2^28 blocks of 64 B.
+    EXPECT_EQ(arrivalBoundsError(0, 12'000'000'000ULL, "libquantum"),
+              "instruction count 12000000000 would take a libquantum job "
+              "past its address window (at most " +
+                  std::to_string(maxJobInstructions(
+                      BenchmarkRegistry::get("libquantum"))) +
+                  ")");
 }
 
 void
@@ -232,11 +264,23 @@ TEST(TraceArrivalDeathTest, OutOfRangeArrivalsAreFatal)
                 ExitedWithCode(1), "storm.trace:1: unexpected 'extra'");
     EXPECT_EXIT(parseTrace("-5 bzip2 gold\n"), ExitedWithCode(1),
                 "storm.trace:1: arrival time '-5'");
-    // The Poisson process checks its mix's count the same way.
+    // A job its address window cannot hold is refused as it is read,
+    // not when its stream gets there.
+    EXPECT_EXIT(parseTrace("0 bzip2 gold\n"
+                           "10 libquantum gold 12000000000\n"),
+                ExitedWithCode(1),
+                "storm.trace:2: instruction count 12000000000 would take "
+                "a libquantum job past its address window");
+    // The Poisson process checks its mix's count the same way, for
+    // every benchmark of the mix.
     ArrivalMix mix = ArrivalMix::defaults();
     mix.instructions = 0;
     EXPECT_EXIT(PoissonArrivalProcess(1000.0, mix, 1, 1),
                 ExitedWithCode(1), "arrival mix: instruction count 0");
+    mix.benchmarks = {"povray", "mcf"};
+    mix.instructions = maxJobInstructions(BenchmarkRegistry::get("mcf")) + 1;
+    EXPECT_EXIT(PoissonArrivalProcess(1000.0, mix, 1, 1),
+                ExitedWithCode(1), "arrival mix: .* a mcf job past its");
 }
 
 void

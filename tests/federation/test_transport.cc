@@ -280,6 +280,29 @@ TEST_F(ServedController, NodeOutsideTheSliceIsRefused)
     send(7, FedShutdown{});
 }
 
+TEST_F(ServedController, JobNoNodeCanRunIsRefused)
+{
+    send(1, init());
+    ASSERT_TRUE(std::holds_alternative<FedReady>(expectReply()));
+    FedSubmit past = submitTo(1);
+    past.request.benchmark = "libquantum";
+    past.request.instructions = 12'000'000'000ULL;
+    expectRefused(2, past,
+                  "submit: instruction count 12000000000 would take a "
+                  "libquantum job past its address window");
+    FedSubmit unknown = submitTo(1);
+    unknown.request.benchmark = "nosuch";
+    expectRefused(3, unknown, "submit: unknown benchmark 'nosuch'");
+
+    // The node still takes a job it can run.
+    send(4, submitTo(1));
+    const FedMessage reply = expectReply();
+    const auto *ack = std::get_if<FedSubmitAck>(&reply);
+    ASSERT_NE(ack, nullptr) << fedMessageName(reply);
+    EXPECT_TRUE(ack->ok);
+    send(5, FedShutdown{});
+}
+
 TEST_F(ServedController, CrashOfACrashedNodeIsRefused)
 {
     send(1, init());

@@ -33,6 +33,8 @@
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
+#include "workload/benchmark.hh"
+#include "workload/generator.hh"
 
 namespace cmpqos
 {
@@ -346,6 +348,20 @@ TEST(Daemon, OutOfRangeSubmitsAreRefused)
     const std::string clean = fingerprintAround({});
     ASSERT_FALSE(clean.empty());
     EXPECT_EQ(fingerprintAround({late, huge}), clean);
+}
+
+TEST(Daemon, JobsPastTheirAddressWindowAreRefused)
+{
+    // A libquantum job this long would outgrow its address window,
+    // which is fatal in its access stream: refused at the Submit, and
+    // the daemon serves on.
+    Submit longest = makeSubmit(7);
+    longest.benchmark = "libquantum";
+    longest.instructions =
+        maxJobInstructions(BenchmarkRegistry::get("libquantum")) + 1;
+    Submit past = longest;
+    past.instructions = 12'000'000'000ULL;
+    EXPECT_EQ(fingerprintAround({longest, past}), fingerprintAround({}));
 }
 
 TEST(Daemon, SubscriberReceivesEventStream)

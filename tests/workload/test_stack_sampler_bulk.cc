@@ -54,5 +54,29 @@ TEST(LruStackSampler, BulkNewBlocksMatchRepeatedAccessNew)
     }
 }
 
+TEST(LruStackSampler, LastThirtyTwoBitBlockIdIsKept)
+{
+    // The bulk fill skips the ids it would drop at once, so this
+    // reaches the top of the id space cheaply.
+    LruStackSampler s(8);
+    const std::uint64_t last = (std::uint64_t{1} << 32) - 1;
+    s.accessNewBlocks(last);
+    EXPECT_EQ(s.peekAtDistance(1), last - 1);
+    EXPECT_EQ(s.accessNew(), last);
+    EXPECT_EQ(s.accessAtDistance(2), last - 1);
+    EXPECT_EQ(s.accessAtDistance(2), last);
+    EXPECT_EQ(s.totalBlocks(), last + 1);
+    EXPECT_EXIT(s.accessNew(), ::testing::ExitedWithCode(1),
+                "block id 4294967296 overflows the 32-bit slots");
+}
+
+TEST(LruStackSampler, BulkFillPastThirtyTwoBitIdsIsFatal)
+{
+    LruStackSampler s(8);
+    EXPECT_EXIT(s.accessNewBlocks((std::uint64_t{1} << 32) + 5),
+                ::testing::ExitedWithCode(1),
+                "block id 4294967300 overflows the 32-bit slots");
+}
+
 } // namespace
 } // namespace cmpqos

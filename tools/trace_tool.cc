@@ -42,17 +42,20 @@ cmdRecord(int argc, char **argv)
     if (argc < 5)
         return usage();
     const std::string bench = argv[2];
-    InstCount instr = 0;
-    readFlag(argv[0], "instructions", argv[3], instr,
-             "an instruction count");
-    const std::string path = argv[4];
-    std::uint64_t seed = 1;
-    if (argc > 5)
-        readFlag(argv[0], "seed", argv[5], seed, "an unsigned integer");
     if (!BenchmarkRegistry::has(bench)) {
         std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
         return 2;
     }
+    // A longer stream would leave the job's address window, a fatal.
+    InstCount instr = 0;
+    readFlag(argv[0], "instructions", argv[3], instr,
+             "an instruction count the job's address window holds", 0,
+             static_cast<double>(
+                 maxJobInstructions(BenchmarkRegistry::get(bench))));
+    const std::string path = argv[4];
+    std::uint64_t seed = 1;
+    if (argc > 5)
+        readFlag(argv[0], "seed", argv[5], seed, "an unsigned integer");
     AccessGenerator gen(BenchmarkRegistry::get(bench), seed,
                         jobAddressBase(0));
     const auto n = recordTrace(gen, instr, path);
